@@ -44,7 +44,9 @@
 # path (docs/updates.md): the mutation fuzz + committed corpus replays,
 # the scheme x local update-parity matrix, and the QueryService update
 # unit tests under AddressSanitizer; the concurrent mutator/reader fuzz
-# under ThreadSanitizer; a CLI insert/delete round trip; then
+# under ThreadSanitizer; a CLI insert/delete round trip; a 200-seed
+# mutation-fuzz sweep in Release (ZSKY_FUZZ_SEED 1000..1199, stopping at
+# the first failing seed, which it prints for replay); then
 # bench_updates in Release — which self-checks skyline invariance, the
 # >=10x dominated-insert win over rebuild, and the <=2x median-latency
 # ratio under a live mutate mix — with a >10% regression gate on concurrent
@@ -353,6 +355,19 @@ if [ "${1:-}" = "updates" ]; then
     exit 1
   fi
   echo "OK: insert -> {20000}, delete removed row $victim"
+
+  echo "=== Mutation fuzz sweep: 200 seeds (Release) ==="
+  cmake --build build --target fuzz_test
+  for seed in $(seq 1000 1199); do
+    if ! ZSKY_FUZZ_SEED="$seed" ./build/tests/fuzz_test \
+         --gtest_filter='Seeds/QueryServiceMutateFuzz.*' > "$ut/fuzz.log" 2>&1
+    then
+      cat "$ut/fuzz.log"
+      echo "FAIL: mutation fuzz seed $seed (replay with ZSKY_FUZZ_SEED=$seed)"
+      exit 1
+    fi
+  done
+  echo "OK: 200 mutation-fuzz seeds match the BNL oracle"
 
   echo "=== bench_updates: delta win + latency ratio + inserts/sec baseline ==="
   (cd build && ./bench/bench_updates)

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "algo/skyline.h"
@@ -37,7 +38,7 @@ struct DeltaState {
   std::vector<uint8_t> inserted_alive;
   // Parallel to `inserted`: 1 iff the row is alive AND no alive row (base
   // or delta) strictly dominates it — the delta's skyline candidates.
-  // Kept exact (see RecomputeDeltaCandidates): exactness makes the
+  // Kept exact (see RepairDeltaCandidates): exactness makes the
   // candidates mutually non-dominated, so the default full-space query is
   // answered from candidates + band alone, with no pipeline run.
   std::vector<uint8_t> inserted_candidate;
@@ -51,9 +52,9 @@ struct DeltaState {
   // The maintained full-space skyline of the ALIVE base rows (ascending
   // base row ids), and the same points' coordinates in an SoA block for
   // the SIMD dominance probes. Bootstrapped by the first mutation after
-  // SetDataset, repaired in place by deletes (exclusive-dominance-region
-  // repair, core/query_service.cc); inserts never change it — the base
-  // band deliberately excludes delta rows.
+  // SetDataset, repaired by deletes (RepairBandAfterDeletes below);
+  // inserts never change it — the base band deliberately excludes delta
+  // rows.
   std::shared_ptr<const SkylineIndices> base_band;
   std::shared_ptr<const DominanceBlock> band_block;
 
@@ -67,15 +68,32 @@ struct DeltaState {
   }
 };
 
-// Recomputes `inserted_candidate` from scratch: a delta row is a
-// candidate iff it is alive, not dominated by the band (exact vs the
-// whole alive base by skyline transitivity: any alive base dominator is
-// itself dominated by — or is — a band member), and not dominated by
-// another alive delta row. Called after any delete batch that removed a
-// band member or an alive delta row (either can resurrect a previously
-// dominated delta row); insert batches maintain the flags incrementally
-// instead.
-void RecomputeDeltaCandidates(DeltaState& delta);
+// Exclusive-dominance-region repair of the band after a delete batch
+// (docs/updates.md). `dead_band` lists the band members the batch killed
+// (ascending base row ids, already tombstoned in `delta.base_alive`).
+// A row can join the skyline only if every old band member dominating it
+// died, so it lies inside some dead member's dominance region and outside
+// every survivor's: one pass over the alive base rows keeps exactly those
+// (the dead members' regions first — a branch-free test against a handful
+// of points — then the survivors' SoA block), and the skyline of the kept
+// rows is spliced into the surviving band. Chains inside the regions
+// (d < s < r) are settled by that final skyline. Runs no pipeline; a
+// columnar base streams through RowBlockCursor, so a budget-bounded
+// mapping drops its pages behind the scan. Appends the dead members'
+// coordinates to `killed` (for RepairDeltaCandidates).
+void RepairBandAfterDeletes(const DatasetView& base, DeltaState& delta,
+                            std::span<const uint32_t> dead_band,
+                            DominanceBlock& killed);
+
+// Restores exact `inserted_candidate` flags after a delete batch. `killed`
+// holds the coordinates of the batch's dead band members and dead delta
+// candidates; the band must already be repaired. A delete never retires
+// a candidate (a resurfaced base row is dominated by a dead member that
+// did not dominate the candidate). A non-candidate can become one only if
+// a killed point strictly dominates it: its old skyline dominator is
+// either still alive or one of those points. So only those rows are
+// rechecked, against the band block and the alive delta rows.
+void RepairDeltaCandidates(DeltaState& delta, const DominanceBlock& killed);
 
 // The default (full-space, k = 1) skyline of base ∪ delta, as ascending
 // logical ids: the candidates plus every band member no candidate

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -275,6 +274,8 @@ std::shared_ptr<DeltaState> QueryService::BootstrapDelta(
 }
 
 MutationResult QueryService::Insert(const PointSet& points) {
+  ZSKY_TRACE_SPAN_ARGS("service.insert",
+                       "{\"rows\":" + std::to_string(points.size()) + "}");
   MutationResult result;
   Stopwatch watch;
   std::lock_guard<std::mutex> mutate(mutate_mu_);
@@ -389,6 +390,8 @@ MutationResult QueryService::Insert(const PointSet& points) {
 }
 
 MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
+  ZSKY_TRACE_SPAN_ARGS("service.delete",
+                       "{\"ids\":" + std::to_string(ids.size()) + "}");
   MutationResult result;
   Stopwatch watch;
   std::lock_guard<std::mutex> mutate(mutate_mu_);
@@ -417,9 +420,12 @@ MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
 
     // Apply the tombstones. The base_alive vector is copied lazily — an
     // all-delta batch shares the previous epoch's vector untouched.
+    // `killed` collects the coordinates of the points whose death can
+    // uncover others: dead delta candidates here, dead band members in
+    // the band repair.
     std::shared_ptr<std::vector<uint8_t>> alive_copy;
     std::vector<uint32_t> dead_base;  // Base rows tombstoned by THIS batch.
-    bool deleted_alive_delta = false;
+    DominanceBlock killed(view.dim());
     for (uint32_t id : ids) {
       if (id < delta->base_rows) {
         if (!delta->base_row_alive(id)) {
@@ -444,10 +450,12 @@ MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
           ++result.rejected;
           continue;
         }
+        if (delta->inserted_candidate[i] != 0) {
+          killed.Append(delta->inserted[i]);
+        }
         delta->inserted_alive[i] = 0;
         delta->inserted_candidate[i] = 0;
         ++delta->inserted_dead;
-        deleted_alive_delta = true;
         ++result.applied;
       } else {
         ++result.rejected;
@@ -490,30 +498,23 @@ MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
     }
 
     // Band repair: deleting a band member may resurface points it was the
-    // only dominator of — all of which live inside its dominance region,
-    // so the re-run is box-constrained and partition-pruned.
+    // only band dominator of — all inside its dominance region, which
+    // one scan of the alive base finds (no pipeline, no pool ticket).
     if (!dead_band.empty()) {
-      if (delta->alive_base_rows() == 0) {
-        delta->base_band = std::make_shared<SkylineIndices>();
-        delta->band_block = std::make_shared<DominanceBlock>(view.dim());
-      } else {
-        Snapshot repair_snap = *snap;
-        repair_snap.plan = plan;
-        RepairBandAfterDeletes(repair_snap, *delta, dead_band,
-                               &result.repair_partitions);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.repairs;
-        }
-        registry.counter("repair_partitions").Add(result.repair_partitions);
-      }
+      ZSKY_TRACE_SPAN_ARGS(
+          "delta.repair_band",
+          "{\"dead_members\":" + std::to_string(dead_band.size()) + "}");
+      RepairBandAfterDeletes(view, *delta, dead_band, killed);
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.repairs;
     }
-    // Exactness maintenance: removing a band member or an alive delta row
-    // can resurrect a previously dominated delta row (its only witnesses
-    // may be gone). Deleting a non-band, non-sampled base row cannot — a
-    // band member still dominates everything it dominated, transitively.
-    if (!dead_band.empty() || deleted_alive_delta) {
-      RecomputeDeltaCandidates(*delta);
+    // Exactness maintenance: a delta row whose every dominator died is a
+    // candidate again. Deleting a non-band base row or a non-candidate
+    // delta row uncovers nothing — a band member or candidate still
+    // dominates everything it dominated, transitively.
+    if (!killed.empty()) {
+      ZSKY_TRACE_SPAN("delta.repair_candidates");
+      RepairDeltaCandidates(*delta, killed);
     }
 
     auto next = std::make_shared<Snapshot>(*snap);
@@ -531,91 +532,6 @@ MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
   MaybeAutoMerge(&result);
   result.ms = watch.ElapsedMs();
   return result;
-}
-
-void QueryService::RepairBandAfterDeletes(
-    const Snapshot& snap, DeltaState& delta,
-    const std::vector<uint32_t>& deleted_band_rows,
-    size_t* repair_partitions) {
-  const DatasetView& view = snap.base->view;
-  const uint32_t dim = view.dim();
-  const Coord max_coord = snap.plan->codec->max_coord();
-
-  // Split the old band into survivors (S_minus, with their coordinates
-  // lifted from the old SoA block) and the deleted members, whose
-  // componentwise min corner spans the union of their dominance regions:
-  // any point a deleted member dominated is >= it on every dimension, so
-  // the box [min_corner, max_coord] contains every point the deletion
-  // could resurface.
-  const SkylineIndices& old_band = *delta.base_band;
-  const DominanceBlock& old_block = *delta.band_block;
-  SkylineIndices s_minus;
-  DominanceBlock s_minus_block(dim);
-  s_minus.reserve(old_band.size());
-  s_minus_block.Reserve(old_band.size());
-  QueryDesc repair;
-  repair.box_lo.assign(dim, max_coord);
-  repair.box_hi.assign(dim, max_coord);
-  std::vector<Coord> buf(dim);
-  for (size_t j = 0; j < old_band.size(); ++j) {
-    old_block.CopyPoint(j, buf);
-    if (std::binary_search(deleted_band_rows.begin(), deleted_band_rows.end(),
-                           old_band[j])) {
-      for (uint32_t d = 0; d < dim; ++d) {
-        repair.box_lo[d] = std::min(repair.box_lo[d], buf[d]);
-      }
-      continue;
-    }
-    s_minus.push_back(old_band[j]);
-    s_minus_block.Append(buf);
-  }
-
-  // Constrained pipeline re-run over the alive base: partitions whose
-  // RZ-region falls outside the box never leave the mapper.
-  PhaseMetrics pm;
-  pm.num_partitions = snap.plan->num_partitions;
-  pm.num_groups = snap.plan->partitioner != nullptr
-                      ? snap.plan->partitioner->num_groups()
-                      : 0;
-  SkylineIndices resurfaced;
-  {
-    std::lock_guard<std::mutex> ticket(pool_mu_);
-    const uint8_t* alive = delta.base_alive->data();
-    CandidateList candidates =
-        RunCandidateJob(*snap.plan, options_.executor, view, &pool_, pm,
-                        repair, alive);
-    resurfaced = RunMergeJob(*snap.plan, options_.executor, view,
-                             std::move(candidates), &pool_, pm, repair);
-  }
-  const size_t regions =
-      pm.num_partitions > 0 ? pm.num_partitions : pm.num_groups;
-  *repair_partitions = regions > pm.regions_pruned_by_box
-                           ? regions - pm.regions_pruned_by_box
-                           : 0;
-
-  // The re-run computed the skyline of the in-box alive rows; points
-  // dominated only from OUTSIDE the box are filtered here against
-  // S_minus (an out-of-box dominator is itself dominated by — or is — a
-  // surviving band member, transitively).
-  SkylineIndices fresh;
-  for (uint32_t r : resurfaced) {
-    if (std::binary_search(s_minus.begin(), s_minus.end(), r)) continue;
-    view.CopyRow(r, buf.data());
-    if (s_minus_block.AnyDominates(buf)) continue;
-    fresh.push_back(r);
-  }
-  SkylineIndices merged;
-  merged.reserve(s_minus.size() + fresh.size());
-  std::merge(s_minus.begin(), s_minus.end(), fresh.begin(), fresh.end(),
-             std::back_inserter(merged));
-  auto block = std::make_shared<DominanceBlock>(dim);
-  block->Reserve(merged.size());
-  for (uint32_t r : merged) {
-    view.CopyRow(r, buf.data());
-    block->Append(buf);
-  }
-  delta.base_band = std::make_shared<SkylineIndices>(std::move(merged));
-  delta.band_block = std::move(block);
 }
 
 void QueryService::MaybeAutoMerge(MutationResult* result) {
@@ -644,6 +560,7 @@ bool QueryService::Merge() {
 }
 
 bool QueryService::MergeLocked(MutationResult* result) {
+  ZSKY_TRACE_SPAN("service.merge");
   for (;;) {
     auto acquired = AcquireSnapshot(QueryDesc{});
     const std::shared_ptr<const Snapshot>& snap = acquired.first;

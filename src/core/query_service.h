@@ -91,8 +91,10 @@ struct MutationResult {
                          // (skipped; the rest of the batch applies).
   uint32_t first_id = 0; // Logical id of the batch's first inserted row.
   bool merged = false;   // This mutation crossed the merge threshold.
-  size_t repair_partitions = 0;  // Partitions the delete repair rescanned
-                                 // (box-pruned pipeline re-run).
+  // Always 0: the delete repair scans the dead band members' dominance
+  // regions and re-runs no pipeline partitions. perfbench still reports
+  // it (delta.repair_partitions); Stats::repairs counts repaired batches.
+  size_t repair_partitions = 0;
   double ms = 0.0;
 };
 
@@ -196,9 +198,12 @@ class QueryService {
 
   // Tombstones the given logical ids. Out-of-range or already-dead ids
   // are counted in result.rejected and skipped. Deleting a point of the
-  // maintained base skyline triggers exclusive-dominance-region repair: a
-  // box-constrained pipeline re-run over only the partitions intersecting
-  // the deleted points' dominance region (result.repair_partitions).
+  // maintained base skyline triggers exclusive-dominance-region repair
+  // (RepairBandAfterDeletes, core/delta.h): one scan of the alive base
+  // keeps the rows inside the dead members' dominance regions that no
+  // surviving member dominates, and their skyline joins the band
+  // (stats().repairs). The repair runs no pipeline and takes no pool
+  // ticket, so queries that run the pipeline never wait behind it.
   MutationResult Delete(std::span<const uint32_t> ids);
 
   // Folds the delta buffer into a fresh base snapshot now (full plan
@@ -220,7 +225,8 @@ class QueryService {
     size_t deletes = 0;            // Rows tombstoned.
     size_t fast_path_inserts = 0;  // Sample-skyline-filter insert rejects.
     size_t merges = 0;             // Delta merges folded into the base.
-    size_t repairs = 0;            // Delete batches that repaired the band.
+    size_t repairs = 0;            // Delete batches that killed a band
+                                   // member (and so repaired the band).
     size_t plan_patches = 0;       // Plans re-derived by sampled-row death.
   };
   Stats stats() const;
@@ -274,16 +280,10 @@ class QueryService {
 
   // Write-path internals; all run under mutate_mu_.
   // Bootstraps a delta over a pristine snapshot: computes the exact base
-  // skyline (one default pipeline run under the pool ticket) and wraps it
-  // as the maintained band.
+  // skyline (one default pipeline run under the pool ticket — the only
+  // pipeline run and ticket a mutation takes) and wraps it as the
+  // maintained band.
   std::shared_ptr<DeltaState> BootstrapDelta(const Snapshot& snap);
-  // Runs the exclusive-dominance-region repair after band deletes:
-  // re-runs the pipeline constrained to the deleted band points'
-  // dominance box over the alive base, merges resurfacing points into
-  // the band. Fills `repair_partitions`.
-  void RepairBandAfterDeletes(const Snapshot& snap, DeltaState& delta,
-                              const std::vector<uint32_t>& deleted_band_rows,
-                              size_t* repair_partitions);
   // Publishes `next` as the current snapshot iff the snapshot `from` was
   // built against is still current and no SetDataset is pending. Returns
   // false when the mutation must re-read state and retry.
@@ -321,7 +321,7 @@ class QueryService {
 
   // Pool ticket: serializes whole pipeline executions on pool_ (acquired
   // after admission, held across both MR jobs and the final merge; the
-  // write path takes it for band bootstrap and delete repair).
+  // write path takes it only for the band bootstrap).
   std::mutex pool_mu_;
 
   // Serializes mutations (Insert/Delete/Merge) against each other; never

@@ -6,12 +6,15 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "algo/bnl.h"
+#include "algo/oracle.h"
 #include "common/quantizer.h"
+#include "common/trace.h"
 #include "core/calibration_io.h"
 #include "core/metrics_registry.h"
 #include "core/query_service.h"
@@ -455,6 +458,277 @@ TEST(QueryServiceUpdatesTest, RejectsBadInsertsAndCountsBadDeleteIds) {
   const QueryService::Stats stats = service.stats();
   EXPECT_EQ(stats.inserts, 0u);
   EXPECT_EQ(stats.deletes, 1u);
+}
+
+// --- Delete-repair exactness ----------------------------------------------
+
+// The same mutation script on a heap service and on a `.zsc` twin opened
+// under a shuffle budget (bounded residency: the repair scan streams the
+// mapping through RowBlockCursor, which drops pages behind it). After
+// every step both answer the default desc and a box desc exactly like the
+// oracle over the mirrored alive rows, and bit-identically to each other.
+class RepairTwins {
+ public:
+  RepairTwins(const PointSet& base, const std::string& tag, QueryDesc box)
+      : points_(base), alive_(base.size(), 1), box_(std::move(box)) {
+    QueryServiceOptions options = MakeServiceOptions();
+    options.delta_merge_threshold = 0;
+    options.executor.shuffle_memory_budget_bytes = 64 * 1024;
+    path_ = ::testing::TempDir() + "/" + std::to_string(::getpid()) +
+            "_repair_" + tag + ".zsc";
+    std::string error;
+    EXPECT_TRUE(WriteColumnarFile(path_, base, kBits, &error)) << error;
+    heap_ = std::make_unique<QueryService>(options, PointSet(base));
+    mmap_ = std::make_unique<QueryService>(options);
+    EXPECT_TRUE(mmap_->SetDatasetFile(path_, &error)) << error;
+  }
+  ~RepairTwins() {
+    mmap_.reset();
+    std::remove(path_.c_str());
+  }
+  RepairTwins(const RepairTwins&) = delete;
+  RepairTwins& operator=(const RepairTwins&) = delete;
+
+  void Insert(const PointSet& batch) {
+    for (QueryService* s : {heap_.get(), mmap_.get()}) {
+      const MutationResult mr = s->Insert(batch);
+      ASSERT_TRUE(mr.ok) << mr.error;
+      ASSERT_EQ(mr.applied, batch.size());
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      points_.Append(batch[i]);
+      alive_.push_back(1);
+    }
+  }
+
+  // Deletes live ids; returns how many band repairs the batch ran (the
+  // same on both twins).
+  size_t Delete(const std::vector<uint32_t>& ids) {
+    const size_t before = heap_->stats().repairs;
+    EXPECT_EQ(mmap_->stats().repairs, before);
+    for (QueryService* s : {heap_.get(), mmap_.get()}) {
+      EXPECT_EQ(s->Delete(ids).applied, ids.size());
+    }
+    for (uint32_t id : ids) alive_[id] = 0;
+    const size_t repairs = heap_->stats().repairs - before;
+    EXPECT_EQ(mmap_->stats().repairs - before, repairs);
+    return repairs;
+  }
+
+  // Checks both twins against the oracle for both descs; returns the
+  // default skyline (ascending logical ids).
+  SkylineIndices Check() {
+    SkylineIndices sky;
+    for (const QueryDesc& desc : {QueryDesc{}, box_}) {
+      QueryRequest request;
+      request.desc = desc;
+      SkylineIndices heap = heap_->Query(request).skyline;
+      SkylineIndices mmap = mmap_->Query(request).skyline;
+      std::sort(heap.begin(), heap.end());
+      std::sort(mmap.begin(), mmap.end());
+      EXPECT_EQ(heap, Expected(desc)) << "box: " << desc.has_box();
+      EXPECT_EQ(mmap, heap) << "box: " << desc.has_box();
+      if (!desc.has_box()) sky = heap;
+    }
+    return sky;
+  }
+
+ private:
+  SkylineIndices Expected(const QueryDesc& desc) const {
+    PointSet alive(points_.dim());
+    std::vector<uint32_t> ids;
+    for (size_t i = 0; i < points_.size(); ++i) {
+      if (alive_[i] == 0) continue;
+      alive.Append(points_[i]);
+      ids.push_back(static_cast<uint32_t>(i));
+    }
+    SkylineIndices out;
+    for (uint32_t i : OracleQuery(alive, desc, (1u << kBits) - 1)) {
+      out.push_back(ids[i]);
+    }
+    return out;
+  }
+
+  PointSet points_;
+  std::vector<uint8_t> alive_;
+  QueryDesc box_;
+  std::string path_;
+  std::unique_ptr<QueryService> heap_;
+  std::unique_ptr<QueryService> mmap_;
+};
+
+// Crafted 3-d rows (ids 0..n-1, every x below 100) followed by 300
+// anti-correlated fillers squeezed into [200, 4095]^3. No filler can
+// dominate a crafted row, but crafted rows dominate many fillers, so a
+// deleted member's region holds fillers that must resurface exactly when
+// no survivor dominates them.
+PointSet RepairBase(const std::vector<std::vector<Coord>>& crafted) {
+  PointSet base(3);
+  for (const std::vector<Coord>& p : crafted) base.Append(p);
+  const PointSet fill = MakePoints(Distribution::kAnticorrelated, 300, 3, 5);
+  for (size_t i = 0; i < fill.size(); ++i) {
+    std::vector<Coord> p(3);
+    for (uint32_t d = 0; d < 3; ++d) p[d] = 200 + fill[i][d] * 3895 / 4095;
+    base.Append(p);
+  }
+  return base;
+}
+
+// Rows with x <= 70: every crafted row plus none of the fillers.
+QueryDesc LowXBox() {
+  QueryDesc box;
+  box.box_lo = {0, 0, 0};
+  box.box_hi = {70, 4095, 4095};
+  return box;
+}
+
+bool Contains(const SkylineIndices& sky, uint32_t id) {
+  return std::binary_search(sky.begin(), sky.end(), id);
+}
+
+// (a) One batch kills two band members whose regions overlap: X lies in
+// both regions, Y in A's only, Z behind X, V behind the survivor C.
+TEST(QueryServiceUpdatesTest, RepairTwoMembersWithOverlappingRegions) {
+  enum : uint32_t { kA, kB, kC, kX, kY, kZ, kV };
+  RepairTwins twins(RepairBase({{10, 50, 90},    // A
+                                {50, 10, 90},    // B
+                                {5, 95, 92},     // C
+                                {60, 60, 95},    // X: A and B only
+                                {20, 70, 95},    // Y: A only
+                                {70, 70, 99},    // Z: A, B and X
+                                {30, 96, 93}}),  // V: A and C
+                    "overlap", LowXBox());
+  const SkylineIndices before = twins.Check();
+  for (uint32_t id : {kA, kB, kC}) EXPECT_TRUE(Contains(before, id)) << id;
+  for (uint32_t id : {kX, kY, kZ, kV}) EXPECT_FALSE(Contains(before, id)) << id;
+
+  EXPECT_EQ(twins.Delete({kA, kB}), 1u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_TRUE(Contains(after, kC));
+  EXPECT_TRUE(Contains(after, kX));
+  EXPECT_TRUE(Contains(after, kY));
+  EXPECT_FALSE(Contains(after, kZ));
+  EXPECT_FALSE(Contains(after, kV));
+}
+
+// (b) A chain D < S < R where D is S's only band dominator: deleting D
+// surfaces S, and S keeps R out.
+TEST(QueryServiceUpdatesTest, RepairChainSurfacesOnlyTheHead) {
+  enum : uint32_t { kD, kS, kR, kE };
+  RepairTwins twins(RepairBase({{10, 10, 3000},  // D
+                                {20, 20, 3010},  // S: D only
+                                {30, 30, 3020},  // R: D and S
+                                {5, 3000, 5}}),  // E: an unrelated member
+                    "chain", LowXBox());
+  const SkylineIndices before = twins.Check();
+  EXPECT_TRUE(Contains(before, kD));
+  EXPECT_FALSE(Contains(before, kS));
+
+  EXPECT_EQ(twins.Delete({kD}), 1u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_TRUE(Contains(after, kS));
+  EXPECT_FALSE(Contains(after, kR));
+  EXPECT_TRUE(Contains(after, kE));
+}
+
+// (c) Two band rows with equal coordinates: deleting one keeps the other,
+// which still dominates the whole region, so nothing surfaces.
+TEST(QueryServiceUpdatesTest, RepairEqualTwinKeepsTheRegionCovered) {
+  enum : uint32_t { kP1, kP2, kQ };
+  RepairTwins twins(RepairBase({{15, 60, 60},    // P1
+                                {15, 60, 60},    // P2 == P1
+                                {20, 70, 70}}),  // Q: P1 and P2
+                    "equal", LowXBox());
+  SkylineIndices before = twins.Check();
+  ASSERT_TRUE(Contains(before, kP1));
+  EXPECT_TRUE(Contains(before, kP2));
+
+  EXPECT_EQ(twins.Delete({kP1}), 1u);
+  before.erase(std::find(before.begin(), before.end(), kP1));
+  EXPECT_EQ(twins.Check(), before);
+}
+
+// (d) Delta rows whose only dominator dies become candidates: I1 behind
+// the delta row I2, I3 behind the base band member M.
+TEST(QueryServiceUpdatesTest, RepairResurfacesDeltaRowsBehindDeadDominators) {
+  enum : uint32_t { kM, kE };
+  RepairTwins twins(RepairBase({{8, 3000, 8},    // M
+                                {3000, 5, 5}}),  // E: an unrelated member
+                    "delta", LowXBox());
+  const uint32_t base_rows = 2 + 300;
+  const uint32_t i2 = base_rows;
+  const uint32_t i1 = base_rows + 1;
+  const uint32_t i3 = base_rows + 2;
+  PointSet batch(3);
+  batch.Append(std::vector<Coord>{12, 12, 2000});  // I2
+  batch.Append(std::vector<Coord>{13, 13, 2001});  // I1: I2 only
+  batch.Append(std::vector<Coord>{9, 3001, 9});    // I3: M only
+  twins.Insert(batch);
+  const SkylineIndices before = twins.Check();
+  EXPECT_TRUE(Contains(before, kM));
+  EXPECT_TRUE(Contains(before, i2));
+  EXPECT_FALSE(Contains(before, i1));
+  EXPECT_FALSE(Contains(before, i3));
+
+  EXPECT_EQ(twins.Delete({i2}), 0u);  // A delta row: no band repair.
+  EXPECT_TRUE(Contains(twins.Check(), i1));
+
+  EXPECT_EQ(twins.Delete({kM}), 1u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_TRUE(Contains(after, i3));
+  EXPECT_TRUE(Contains(after, kE));
+}
+
+// The write path's spans: a band-member delete records its band repair
+// nested inside service.delete; a dominated insert records no repair.
+TEST(QueryServiceUpdatesTest, WritePathRecordsNestedSpans) {
+#if !ZSKY_TRACING_ENABLED
+  GTEST_SKIP() << "macros compiled out (ZSKY_TRACING=OFF)";
+#endif
+  using trace::Span;
+  using trace::Tracer;
+  const PointSet points =
+      MakePoints(Distribution::kAnticorrelated, 2000, 4, 31);
+  QueryServiceOptions options = MakeServiceOptions();
+  options.delta_merge_threshold = 0;
+  QueryService service(options, PointSet(points));
+  const SkylineIndices sky = service.Query().skyline;
+  ASSERT_FALSE(sky.empty());
+
+  const bool was_enabled = Tracer::Global().enabled();
+  Tracer::Global().Clear();
+  Tracer::Global().SetEnabled(true);
+  const auto named = [](const std::vector<Span>& spans,
+                        const std::string& name) {
+    std::vector<Span> out;
+    for (const Span& s : spans) {
+      if (s.name == name) out.push_back(s);
+    }
+    return out;
+  };
+
+  constexpr Coord kMax = (1u << kBits) - 1;
+  PointSet dominated(4);
+  dominated.Append(std::vector<Coord>(4, kMax));
+  ASSERT_TRUE(service.Insert(dominated).ok);
+  std::vector<Span> spans = Tracer::Global().Snapshot();
+  EXPECT_EQ(named(spans, "service.insert").size(), 1u);
+  EXPECT_TRUE(named(spans, "delta.repair_band").empty());
+  EXPECT_TRUE(named(spans, "delta.repair_candidates").empty());
+
+  Tracer::Global().Clear();
+  ASSERT_EQ(service.Delete(std::vector<uint32_t>{sky.front()}).applied, 1u);
+  spans = Tracer::Global().Snapshot();
+  Tracer::Global().SetEnabled(was_enabled);
+  const std::vector<Span> outer = named(spans, "service.delete");
+  const std::vector<Span> inner = named(spans, "delta.repair_band");
+  ASSERT_EQ(outer.size(), 1u);
+  ASSERT_EQ(inner.size(), 1u);
+  EXPECT_EQ(inner[0].tid, outer[0].tid);
+  EXPECT_GE(inner[0].start_ns, outer[0].start_ns);
+  EXPECT_LE(inner[0].start_ns + inner[0].dur_ns,
+            outer[0].start_ns + outer[0].dur_ns);
+  EXPECT_LT(inner[0].seq, outer[0].seq);  // The child completes first.
 }
 
 }  // namespace

@@ -622,11 +622,11 @@ void PrintMutationSummary(const char* verb, const MutationResult& mr,
   const DeltaStats ds = service.delta_stats();
   std::fprintf(stderr,
                "%s: applied=%zu fast_path=%zu rejected=%zu first_id=%u"
-               " merged=%d repair_partitions=%zu ms=%.3f\n"
+               " merged=%d repairs=%zu ms=%.3f\n"
                "delta: active=%d logical_rows=%zu alive_rows=%zu"
                " delta_rows=%zu base_dead=%zu band=%zu\n",
                verb, mr.applied, mr.fast_path, mr.rejected, mr.first_id,
-               mr.merged ? 1 : 0, mr.repair_partitions, mr.ms,
+               mr.merged ? 1 : 0, service.stats().repairs, mr.ms,
                ds.active ? 1 : 0, ds.logical_rows, ds.alive_rows,
                ds.delta_rows, ds.base_dead, ds.band_size);
 }
