@@ -130,8 +130,8 @@ if [ "${1:-}" = "sched" ]; then
         -R 'WorkerPool|MapReduceJob|Executor|Pipeline|QueryService|ChoosePlan'
 
   echo "=== bench_sched vs committed hotpath baseline ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target bench_sched
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target bench_sched
   (cd build && ./bench/bench_sched)
   baseline=$(grep -o '"hotpath_ms": [0-9.]*' BENCH_hotpath.json \
              | awk '{print $2}')
@@ -167,8 +167,8 @@ if [ "${1:-}" = "shuffle" ]; then
         -R 'MapReduceJob|RecordBuffer|ShuffleParity'
 
   echo "=== Record-path throughput vs committed baseline ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target bench_shuffle
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target bench_shuffle
   (cd build && ./bench/bench_shuffle)
   baseline=$(awk -F': ' '/"zero_copy_records_per_sec"/ {gsub(/,/, "", $2); print $2}' \
              BENCH_shuffle.json)
@@ -197,8 +197,8 @@ if [ "${1:-}" = "queries" ]; then
         -R 'QueryVariant|VariantCache|BoxPruning|ConstrainedOracle|QueryServiceVariant|QueryServiceFuzz|ProjectDimsInto|PlanReuse|EstimatePlanCost'
 
   echo "=== CLI variant-flag round trip (Release) ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target zsky_cli bench_queries
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target zsky_cli bench_queries
   qt="$(mktemp -d)"
   trap 'rm -rf "$qt"' EXIT
   ./build/tools/zsky_cli gen --dist anti --n 20000 --dim 4 --seed 7 \
@@ -229,8 +229,8 @@ fi
 
 if [ "${1:-}" = "outofcore" ]; then
   echo "=== CLI gen -> convert -> query round trip (Release) ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target zsky_cli bench_outofcore
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target zsky_cli bench_outofcore
   rt="$(mktemp -d)"
   trap 'rm -rf "$rt"' EXIT
   ./build/tools/zsky_cli gen --dist anti --n 50000 --dim 6 --seed 7 \
@@ -330,8 +330,8 @@ if [ "${1:-}" = "updates" ]; then
         -R 'QueryServiceMutate|QueryServiceUpdates'
 
   echo "=== CLI insert/delete round trip (Release) ==="
-  cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build --target zsky_cli bench_updates
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)" --target zsky_cli bench_updates
   ut="$(mktemp -d)"
   trap 'rm -rf "$ut"' EXIT
   ./build/tools/zsky_cli gen --dist anti --n 20000 --dim 4 --seed 7 \
@@ -357,7 +357,7 @@ if [ "${1:-}" = "updates" ]; then
   echo "OK: insert -> {20000}, delete removed row $victim"
 
   echo "=== Mutation fuzz sweep: 200 seeds (Release) ==="
-  cmake --build build --target fuzz_test
+  cmake --build build -j "$(nproc)" --target fuzz_test
   for seed in $(seq 1000 1199); do
     if ! ZSKY_FUZZ_SEED="$seed" ./build/tests/fuzz_test \
          --gtest_filter='Seeds/QueryServiceMutateFuzz.*' > "$ut/fuzz.log" 2>&1
@@ -388,8 +388,8 @@ if [ "${1:-}" = "updates" ]; then
 fi
 
 echo "=== Release build + tests ==="
-cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build
+cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
 
 echo "=== Debug build + tests (assertions on) ==="

@@ -29,6 +29,24 @@ void MarkWeaklyDominated(const Coord* __restrict d,
 
 }  // namespace
 
+void CoverBandMembers(DeltaState& delta, std::span<const Coord> p,
+                      std::shared_ptr<std::vector<uint8_t>>& owned,
+                      std::vector<uint8_t>& hits) {
+  if (delta.band_block == nullptr ||
+      delta.band_block->DominatedBitmap(p, hits) == 0) {
+    return;
+  }
+  if (owned == nullptr) {
+    owned = delta.band_covered != nullptr
+                ? std::make_shared<std::vector<uint8_t>>(*delta.band_covered)
+                : std::make_shared<std::vector<uint8_t>>(hits.size(),
+                                                         uint8_t{0});
+    delta.band_covered = owned;
+  }
+  std::vector<uint8_t>& covered = *owned;
+  for (size_t j = 0; j < hits.size(); ++j) covered[j] |= hits[j];
+}
+
 void RepairBandAfterDeletes(const DatasetView& base, DeltaState& delta,
                             std::span<const uint32_t> dead_band,
                             DominanceBlock& killed) {
@@ -52,8 +70,12 @@ void RepairBandAfterDeletes(const DatasetView& base, DeltaState& delta,
   }
   SkylineIndices survivors;
   survivors.reserve(old_band.size() - dead_band.size());
+  const std::vector<uint8_t>* old_covered = delta.band_covered.get();
+  std::vector<uint8_t> covered;  // Parallel to `survivors`, if tracked.
   for (size_t j = 0; j < old_band.size(); ++j) {
-    if (died[j] == 0) survivors.push_back(old_band[j]);
+    if (died[j] != 0) continue;
+    survivors.push_back(old_band[j]);
+    if (old_covered != nullptr) covered.push_back((*old_covered)[j]);
   }
   DominanceBlock survivor_block = *delta.band_block;
   survivor_block.Remove(died);
@@ -105,27 +127,36 @@ void RepairBandAfterDeletes(const DatasetView& base, DeltaState& delta,
     delta.base_band = std::make_shared<SkylineIndices>(std::move(survivors));
     delta.band_block =
         std::make_shared<DominanceBlock>(std::move(survivor_block));
+    if (old_covered != nullptr) {
+      delta.band_covered =
+          std::make_shared<std::vector<uint8_t>>(std::move(covered));
+    }
     return;
   }
   auto band = std::make_shared<SkylineIndices>();
   auto band_block = std::make_shared<DominanceBlock>(dim);
+  auto band_covered = std::make_shared<std::vector<uint8_t>>();
   band->reserve(survivors.size() + fresh.size());
   band_block->Reserve(survivors.size() + fresh.size());
+  band_covered->reserve(survivors.size() + fresh.size());
   size_t s = 0;
   size_t f = 0;
   while (s < survivors.size() || f < fresh.size()) {
     if (f == fresh.size() ||
         (s < survivors.size() && survivors[s] < kept_rows[fresh[f]])) {
       survivor_block.CopyPoint(s, buf);
+      band_covered->push_back(old_covered != nullptr ? covered[s] : 0);
       band->push_back(survivors[s++]);
       band_block->Append(buf);
     } else {
+      band_covered->push_back(1);  // Pending RepairBandCovered.
       band->push_back(kept_rows[fresh[f]]);
       band_block->Append(kept[fresh[f++]]);
     }
   }
   delta.base_band = std::move(band);
   delta.band_block = std::move(band_block);
+  delta.band_covered = std::move(band_covered);
 }
 
 void RepairDeltaCandidates(DeltaState& delta, const DominanceBlock& killed) {
@@ -148,34 +179,51 @@ void RepairDeltaCandidates(DeltaState& delta, const DominanceBlock& killed) {
   }
 }
 
+void RepairBandCovered(DeltaState& delta, const DominanceBlock& killed) {
+  if (delta.band_covered == nullptr || killed.empty()) return;
+  DominanceBlock candidates(delta.inserted.dim());
+  for (size_t i = 0; i < delta.inserted.size(); ++i) {
+    if (delta.inserted_candidate[i] != 0) candidates.Append(delta.inserted[i]);
+  }
+  if (candidates.empty()) {
+    delta.band_covered = nullptr;
+    return;
+  }
+  auto covered = std::make_shared<std::vector<uint8_t>>(*delta.band_covered);
+  std::vector<Coord> buf(delta.inserted.dim());
+  for (size_t j = 0; j < covered->size(); ++j) {
+    if ((*covered)[j] == 0) continue;
+    delta.band_block->CopyPoint(j, buf);
+    if (killed.AnyDominates(buf)) {
+      (*covered)[j] = candidates.AnyDominates(buf) ? 1 : 0;
+    }
+  }
+  delta.band_covered = std::move(covered);
+}
+
 SkylineIndices DefaultSkylineWithDelta(const DeltaState& delta) {
   SkylineIndices out;
-  // The candidates, as one SoA block for the band-side probes.
-  DominanceBlock candidates(delta.inserted.dim());
-  std::vector<uint32_t> candidate_ids;
-  for (size_t i = 0; i < delta.inserted.size(); ++i) {
-    if (delta.inserted_candidate[i] == 0) continue;
-    candidates.Append(delta.inserted[i]);
-    candidate_ids.push_back(static_cast<uint32_t>(delta.base_rows + i));
-  }
   // Band members survive unless a candidate dominates them (the band is
   // already mutually non-dominated, and non-candidate delta rows are
   // dominated by something alive, hence — transitively — by a band member
   // or candidate, so they can never eject a band member a candidate
-  // couldn't).
-  if (delta.base_band != nullptr && !delta.base_band->empty()) {
+  // couldn't). `band_covered` records exactly that.
+  if (delta.base_band != nullptr) {
     const SkylineIndices& band = *delta.base_band;
-    std::vector<Coord> buf(delta.inserted.dim());
+    const uint8_t* covered =
+        delta.band_covered != nullptr ? delta.band_covered->data() : nullptr;
+    out.reserve(band.size());
     for (size_t j = 0; j < band.size(); ++j) {
-      delta.band_block->CopyPoint(j, buf);
-      if (candidates.empty() || !candidates.AnyDominates(buf)) {
-        out.push_back(band[j]);
-      }
+      if (covered == nullptr || covered[j] == 0) out.push_back(band[j]);
     }
   }
   // Band ids are ascending and < base_rows; candidate ids are ascending
   // (insertion order) and >= base_rows — the concatenation is sorted.
-  out.insert(out.end(), candidate_ids.begin(), candidate_ids.end());
+  for (size_t i = 0; i < delta.inserted.size(); ++i) {
+    if (delta.inserted_candidate[i] != 0) {
+      out.push_back(static_cast<uint32_t>(delta.base_rows + i));
+    }
+  }
   return out;
 }
 

@@ -18,10 +18,10 @@ namespace zsky {
 // (docs/updates.md). A DeltaState is itself immutable once published:
 // every mutation batch builds a new one copy-on-write — the O(delta)
 // fields (`inserted` + its flags) are copied, the O(base)/O(skyline)
-// fields (`base_alive`, `base_band`, `band_block`) are shared by pointer
-// when the batch did not change them. In-flight queries therefore read a
-// frozen, internally consistent delta no matter how many mutations land
-// while they run.
+// fields (`base_alive`, `base_band`, `band_block`, `band_covered`) are
+// shared by pointer when the batch did not change them. In-flight
+// queries therefore read a frozen, internally consistent delta no matter
+// how many mutations land while they run.
 //
 // Logical row ids: base rows keep their ids 0..base_rows-1; delta row i
 // has id base_rows + i. Deletes tombstone (the id stays assigned, the row
@@ -57,6 +57,12 @@ struct DeltaState {
   // rows.
   std::shared_ptr<const SkylineIndices> base_band;
   std::shared_ptr<const DominanceBlock> band_block;
+  // Parallel to `base_band`: 1 iff some alive delta candidate strictly
+  // dominates that member, i.e. the member is not in the default skyline.
+  // Null = no member is covered (after bootstrap or a merge). Inserts set
+  // the bytes of the members a new candidate dominates; deletes compact
+  // them with the band and recheck them (RepairBandCovered below).
+  std::shared_ptr<const std::vector<uint8_t>> band_covered;
 
   size_t alive_delta_rows() const { return inserted.size() - inserted_dead; }
   size_t alive_base_rows() const { return base_rows - base_dead; }
@@ -67,6 +73,16 @@ struct DeltaState {
     return base_alive == nullptr || (*base_alive)[row] != 0;
   }
 };
+
+// Flags the band members a new delta candidate `p` strictly dominates as
+// covered: one SIMD pass over the band block. The first call that flags a
+// member copies `delta.band_covered` into `owned` and points the delta at
+// it, so an insert batch copies the vector once. `hits` is scratch. A
+// candidate the batch later retires needs no unflagging: its retirer
+// dominates every member it covered.
+void CoverBandMembers(DeltaState& delta, std::span<const Coord> p,
+                      std::shared_ptr<std::vector<uint8_t>>& owned,
+                      std::vector<uint8_t>& hits);
 
 // Exclusive-dominance-region repair of the band after a delete batch
 // (docs/updates.md). `dead_band` lists the band members the batch killed
@@ -80,7 +96,10 @@ struct DeltaState {
 // (d < s < r) are settled by that final skyline. Runs no pipeline; a
 // columnar base streams through RowBlockCursor, so a budget-bounded
 // mapping drops its pages behind the scan. Appends the dead members'
-// coordinates to `killed` (for RepairDeltaCandidates).
+// coordinates to `killed` (for RepairDeltaCandidates). `band_covered` is
+// compacted with the band; a fresh member is flagged covered pending
+// RepairBandCovered, which rechecks it (it lies in a dead member's
+// region, so `killed` always selects it).
 void RepairBandAfterDeletes(const DatasetView& base, DeltaState& delta,
                             std::span<const uint32_t> dead_band,
                             DominanceBlock& killed);
@@ -95,11 +114,24 @@ void RepairBandAfterDeletes(const DatasetView& base, DeltaState& delta,
 // rechecked, against the band block and the alive delta rows.
 void RepairDeltaCandidates(DeltaState& delta, const DominanceBlock& killed);
 
+// Restores exact `band_covered` flags after a delete batch, once the band
+// and the candidates are repaired. Only members flagged covered that a
+// killed point strictly dominates are rechecked, against the alive
+// candidates: the fresh members and those a dead candidate covered.
+// Every other flag is already exact:
+//  - a covered member no killed point dominates keeps its coverer alive,
+//    and a delete never retires a candidate;
+//  - an uncovered survivor stays uncovered. A re-promoted candidate was
+//    dominated by a killed point: a dead candidate (which would have
+//    covered the member) or a dead band member (which dominates no band
+//    member).
+void RepairBandCovered(DeltaState& delta, const DominanceBlock& killed);
+
 // The default (full-space, k = 1) skyline of base ∪ delta, as ascending
-// logical ids: the candidates plus every band member no candidate
-// dominates. Exact because the candidate flags are exact — candidates
-// are mutually non-dominated and nothing else alive can appear in the
-// skyline. O(band x candidates) SIMD, no pipeline run.
+// logical ids: the uncovered band members plus the candidates. Exact
+// because the candidate and cover flags are exact — candidates are
+// mutually non-dominated and nothing else alive can appear in the
+// skyline. O(band + delta): no dominance test, no pipeline run.
 SkylineIndices DefaultSkylineWithDelta(const DeltaState& delta);
 
 // Query-time overlay for non-default descs: re-counts the union of the

@@ -137,6 +137,13 @@ DeltaStats QueryService::delta_stats() const {
   out.delta_rows = delta.inserted.size();
   out.base_dead = delta.base_dead;
   out.band_size = delta.base_band != nullptr ? delta.base_band->size() : 0;
+  if (delta.band_covered != nullptr) {
+    out.band_covered = static_cast<size_t>(std::count(
+        delta.band_covered->begin(), delta.band_covered->end(), uint8_t{1}));
+  }
+  out.delta_candidates = static_cast<size_t>(
+      std::count(delta.inserted_candidate.begin(),
+                 delta.inserted_candidate.end(), uint8_t{1}));
   return out;
 }
 
@@ -320,10 +327,14 @@ MutationResult QueryService::Insert(const PointSet& points) {
     // Copy-on-write: O(batch + delta) copied, the O(base) tombstones and
     // the O(skyline) band shared by pointer — an insert batch never
     // touches them (and never touches the plan: the dominated fast path
-    // is the acceptance invariant the metrics test pins down).
+    // is the acceptance invariant the metrics test pins down). The band's
+    // cover flags are copied once, by the first new candidate that
+    // dominates a member.
     auto delta = snap->delta != nullptr
                      ? std::make_shared<DeltaState>(*snap->delta)
                      : BootstrapDelta(*snap);
+    std::shared_ptr<std::vector<uint8_t>> covered_copy;
+    std::vector<uint8_t> hits;
     result.first_id =
         static_cast<uint32_t>(delta->base_rows + delta->inserted.size());
     const bool base_live = delta->alive_base_rows() > 0;
@@ -359,13 +370,15 @@ MutationResult QueryService::Insert(const PointSet& points) {
       delta->inserted_candidate.push_back(dominated ? 0 : 1);
       if (!dominated) {
         // A fresh candidate may retire earlier delta rows' candidacy
-        // (their flags stay exact: the dominator is alive, right here).
+        // (their flags stay exact: the dominator is alive, right here)
+        // and covers the band members it dominates.
         for (size_t j = 0; j < existing; ++j) {
           if (delta->inserted_candidate[j] == 0) continue;
           if (Dominates(p, delta->inserted[j])) {
             delta->inserted_candidate[j] = 0;
           }
         }
+        CoverBandMembers(*delta, p, covered_copy, hits);
       }
       ++result.applied;
     }
@@ -509,12 +522,14 @@ MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
       ++stats_.repairs;
     }
     // Exactness maintenance: a delta row whose every dominator died is a
-    // candidate again. Deleting a non-band base row or a non-candidate
+    // candidate again, and a band member whose every covering candidate
+    // died is uncovered. Deleting a non-band base row or a non-candidate
     // delta row uncovers nothing — a band member or candidate still
     // dominates everything it dominated, transitively.
     if (!killed.empty()) {
       ZSKY_TRACE_SPAN("delta.repair_candidates");
       RepairDeltaCandidates(*delta, killed);
+      RepairBandCovered(*delta, killed);
     }
 
     auto next = std::make_shared<Snapshot>(*snap);
@@ -825,9 +840,9 @@ SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
   // mutations; reads stay exact between merges.
   pm.delta_rows = delta->alive_delta_rows();
   if (request.desc.IsDefault()) {
-    // The maintained band plus the exact candidate flags ARE the answer —
-    // no pipeline run, no pool ticket: the warm default query under
-    // writes costs O(band x delta-candidates).
+    // The maintained band plus the exact candidate and cover flags ARE
+    // the answer — no pipeline run, no pool ticket, no dominance test:
+    // the warm default query under writes costs O(band + delta).
     result.skyline = DefaultSkylineWithDelta(*delta);
   } else {
     SkylineIndices base_result;

@@ -107,6 +107,9 @@ struct DeltaStats {
   size_t delta_rows = 0;    // Buffered delta rows (including dead).
   size_t base_dead = 0;     // Tombstoned base rows.
   size_t band_size = 0;     // Maintained base-skyline size.
+  size_t band_covered = 0;  // Band members an alive delta candidate
+                            // dominates (absent from the default skyline).
+  size_t delta_candidates = 0;  // Alive delta rows in the default skyline.
 };
 
 // Concurrent serving front-end over one dataset snapshot: owns the

@@ -383,7 +383,8 @@ bool ParseTrace(std::istream& in, uint32_t* dim, std::vector<MutOp>* ops) {
 // Flat reference copy of the service's logical-id space: base rows then
 // delta rows in insertion order, tombstones as alive flags. Compact()
 // reproduces the service's merge renumbering exactly (drop dead rows,
-// preserve order).
+// preserve order), and the rows before `base_rows_` are the service's
+// base.
 class MutationMirror {
  public:
   explicit MutationMirror(uint32_t dim) : points_(dim) {}
@@ -391,6 +392,7 @@ class MutationMirror {
   void Reset(const PointSet& ps) {
     points_ = ps;
     alive_.assign(ps.size(), 1);
+    base_rows_ = ps.size();
   }
   void Insert(const PointSet& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -417,8 +419,39 @@ class MutationMirror {
     }
     points_ = std::move(next);
     alive_.assign(points_.size(), 1);
+    base_rows_ = points_.size();
   }
   size_t logical_rows() const { return alive_.size(); }
+
+  // The delta overlay's counts by brute force: `delta_candidates`, the
+  // alive delta rows no alive row strictly dominates, and `band_covered`,
+  // the members of the alive base's skyline some candidate dominates.
+  DeltaStats Counts() const {
+    PointSet base(points_.dim());
+    for (size_t i = 0; i < base_rows_; ++i) {
+      if (alive_[i]) base.Append(points_[i]);
+    }
+    const SkylineIndices band = BnlSkyline(base);
+    std::vector<size_t> candidates;
+    for (size_t i = base_rows_; i < points_.size(); ++i) {
+      bool dominated = !alive_[i];
+      for (size_t j = 0; j < points_.size() && !dominated; ++j) {
+        dominated = alive_[j] && Dominates(points_[j], points_[i]);
+      }
+      if (!dominated) candidates.push_back(i);
+    }
+    DeltaStats out;
+    out.delta_candidates = candidates.size();
+    for (uint32_t b : band) {
+      for (size_t c : candidates) {
+        if (Dominates(points_[c], base[b])) {
+          ++out.band_covered;
+          break;
+        }
+      }
+    }
+    return out;
+  }
 
   // Oracle answer over the alive rows, mapped back to logical ids, sorted.
   SkylineIndices Expected(const QueryDesc& desc, Coord max_coord) const {
@@ -441,6 +474,7 @@ class MutationMirror {
  private:
   PointSet points_;
   std::vector<uint8_t> alive_;
+  size_t base_rows_ = 0;
 };
 
 QueryDesc RandomVariantDesc(Rng& rng, uint32_t dim) {
@@ -578,6 +612,22 @@ std::optional<TraceFailure> RunMutationTrace(uint32_t dim,
       }
       default:
         return fail(step, std::string("unknown op '") + op.kind + "'");
+    }
+    // The overlay's cover bookkeeping, exact after every operation. A
+    // SetDataset is published by the next operation, so delta_stats()
+    // still describes the old dataset right after one.
+    if (have_dataset && op.kind != 'S') {
+      const DeltaStats got = service.delta_stats();
+      const DeltaStats expected = mirror.Counts();
+      if (got.band_covered != expected.band_covered ||
+          got.delta_candidates != expected.delta_candidates) {
+        return fail(step, "band_covered " + std::to_string(got.band_covered) +
+                              " delta_candidates " +
+                              std::to_string(got.delta_candidates) +
+                              ", expected " +
+                              std::to_string(expected.band_covered) + " / " +
+                              std::to_string(expected.delta_candidates));
+      }
     }
   }
   // Final exact check on the default path.

@@ -13,6 +13,7 @@
 
 #include "algo/bnl.h"
 #include "algo/oracle.h"
+#include "common/dominance.h"
 #include "common/quantizer.h"
 #include "common/trace.h"
 #include "core/calibration_io.h"
@@ -466,13 +467,19 @@ TEST(QueryServiceUpdatesTest, RejectsBadInsertsAndCountsBadDeleteIds) {
 // under a shuffle budget (bounded residency: the repair scan streams the
 // mapping through RowBlockCursor, which drops pages behind it). After
 // every step both answer the default desc and a box desc exactly like the
-// oracle over the mirrored alive rows, and bit-identically to each other.
+// oracle over the mirrored alive rows, and bit-identically to each other,
+// and both report the mirror's overlay counts. `merge_threshold` 0 never
+// auto-merges.
 class RepairTwins {
  public:
-  RepairTwins(const PointSet& base, const std::string& tag, QueryDesc box)
-      : points_(base), alive_(base.size(), 1), box_(std::move(box)) {
+  RepairTwins(const PointSet& base, const std::string& tag, QueryDesc box,
+              size_t merge_threshold = 0)
+      : points_(base),
+        alive_(base.size(), 1),
+        base_rows_(base.size()),
+        box_(std::move(box)) {
     QueryServiceOptions options = MakeServiceOptions();
-    options.delta_merge_threshold = 0;
+    options.delta_merge_threshold = merge_threshold;
     options.executor.shuffle_memory_budget_bytes = 64 * 1024;
     path_ = ::testing::TempDir() + "/" + std::to_string(::getpid()) +
             "_repair_" + tag + ".zsc";
@@ -489,16 +496,22 @@ class RepairTwins {
   RepairTwins(const RepairTwins&) = delete;
   RepairTwins& operator=(const RepairTwins&) = delete;
 
-  void Insert(const PointSet& batch) {
+  // Inserts a batch; returns whether it auto-merged (on both twins).
+  bool Insert(const PointSet& batch) {
+    std::vector<bool> merged;
     for (QueryService* s : {heap_.get(), mmap_.get()}) {
       const MutationResult mr = s->Insert(batch);
-      ASSERT_TRUE(mr.ok) << mr.error;
-      ASSERT_EQ(mr.applied, batch.size());
+      EXPECT_TRUE(mr.ok) << mr.error;
+      EXPECT_EQ(mr.applied, batch.size());
+      merged.push_back(mr.merged);
     }
+    EXPECT_EQ(merged[0], merged[1]);
     for (size_t i = 0; i < batch.size(); ++i) {
       points_.Append(batch[i]);
       alive_.push_back(1);
     }
+    if (merged[0]) Compact();
+    return merged[0];
   }
 
   // Deletes live ids; returns how many band repairs the batch ran (the
@@ -506,14 +519,21 @@ class RepairTwins {
   size_t Delete(const std::vector<uint32_t>& ids) {
     const size_t before = heap_->stats().repairs;
     EXPECT_EQ(mmap_->stats().repairs, before);
+    std::vector<bool> merged;
     for (QueryService* s : {heap_.get(), mmap_.get()}) {
-      EXPECT_EQ(s->Delete(ids).applied, ids.size());
+      const MutationResult mr = s->Delete(ids);
+      EXPECT_EQ(mr.applied, ids.size());
+      merged.push_back(mr.merged);
     }
+    EXPECT_EQ(merged[0], merged[1]);
     for (uint32_t id : ids) alive_[id] = 0;
+    if (merged[0]) Compact();
     const size_t repairs = heap_->stats().repairs - before;
     EXPECT_EQ(mmap_->stats().repairs - before, repairs);
     return repairs;
   }
+
+  DeltaStats delta_stats() const { return heap_->delta_stats(); }
 
   // Checks both twins against the oracle for both descs; returns the
   // default skyline (ascending logical ids).
@@ -530,10 +550,52 @@ class RepairTwins {
       EXPECT_EQ(mmap, heap) << "box: " << desc.has_box();
       if (!desc.has_box()) sky = heap;
     }
+    const DeltaStats want = ExpectedCounts();
+    for (QueryService* s : {heap_.get(), mmap_.get()}) {
+      const DeltaStats got = s->delta_stats();
+      EXPECT_EQ(got.band_covered, want.band_covered);
+      EXPECT_EQ(got.delta_candidates, want.delta_candidates);
+    }
     return sky;
   }
 
  private:
+  // A merge's id compaction: alive rows in order, all of them the base.
+  void Compact() {
+    PointSet next(points_.dim());
+    for (size_t i = 0; i < points_.size(); ++i) {
+      if (alive_[i] != 0) next.Append(points_[i]);
+    }
+    points_ = std::move(next);
+    alive_.assign(points_.size(), 1);
+    base_rows_ = points_.size();
+  }
+
+  // The overlay's counts by brute force: the alive delta rows no alive
+  // row dominates, and the alive base skyline's members they dominate.
+  DeltaStats ExpectedCounts() const {
+    PointSet base(points_.dim());
+    for (size_t i = 0; i < base_rows_; ++i) {
+      if (alive_[i] != 0) base.Append(points_[i]);
+    }
+    std::vector<size_t> candidates;
+    for (size_t i = base_rows_; i < points_.size(); ++i) {
+      bool dominated = alive_[i] == 0;
+      for (size_t j = 0; j < points_.size() && !dominated; ++j) {
+        dominated = alive_[j] != 0 && Dominates(points_[j], points_[i]);
+      }
+      if (!dominated) candidates.push_back(i);
+    }
+    DeltaStats out;
+    out.delta_candidates = candidates.size();
+    for (uint32_t b : BnlSkyline(base)) {
+      out.band_covered += std::any_of(
+          candidates.begin(), candidates.end(),
+          [&](size_t c) { return Dominates(points_[c], base[b]); });
+    }
+    return out;
+  }
+
   SkylineIndices Expected(const QueryDesc& desc) const {
     PointSet alive(points_.dim());
     std::vector<uint32_t> ids;
@@ -551,6 +613,7 @@ class RepairTwins {
 
   PointSet points_;
   std::vector<uint8_t> alive_;
+  size_t base_rows_;
   QueryDesc box_;
   std::string path_;
   std::unique_ptr<QueryService> heap_;
@@ -677,6 +740,128 @@ TEST(QueryServiceUpdatesTest, RepairResurfacesDeltaRowsBehindDeadDominators) {
   const SkylineIndices after = twins.Check();
   EXPECT_TRUE(Contains(after, i3));
   EXPECT_TRUE(Contains(after, kE));
+}
+
+// --- Default-read cover exactness -----------------------------------------
+
+// Rows shared by the cover tests: A and B are band members that P covers,
+// E a member P leaves alone and Q covers, P2 a row P dominates that
+// covers A but not B.
+constexpr Coord kRowP[] = {4, 9, 80};
+constexpr Coord kRowP2[] = {9, 40, 85};
+constexpr Coord kRowQ[] = {2, 2999, 4};
+
+PointSet Rows(std::initializer_list<std::span<const Coord>> rows) {
+  PointSet out(3);
+  for (std::span<const Coord> p : rows) out.Append(p);
+  return out;
+}
+
+PointSet CoverBase() {
+  return RepairBase({{10, 50, 90},    // A
+                     {50, 10, 90},    // B
+                     {3, 3000, 5}});  // E
+}
+
+// (e) A deleted candidate's covered members return; a member another
+// candidate covers stays out.
+TEST(QueryServiceUpdatesTest, CoverDeletedCandidateReturnsItsMembers) {
+  enum : uint32_t { kA, kB, kE };
+  RepairTwins twins(CoverBase(), "cover_delete", LowXBox());
+  const uint32_t p = 3 + 300;
+  const uint32_t q = p + 1;
+  twins.Insert(Rows({kRowP, kRowQ}));
+  const SkylineIndices before = twins.Check();
+  EXPECT_EQ(twins.delta_stats().band_covered, 3u);
+  for (uint32_t id : {kA, kB, kE}) EXPECT_FALSE(Contains(before, id)) << id;
+
+  EXPECT_EQ(twins.Delete({p}), 0u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_EQ(twins.delta_stats().band_covered, 1u);
+  EXPECT_TRUE(Contains(after, kA));
+  EXPECT_TRUE(Contains(after, kB));
+  EXPECT_FALSE(Contains(after, kE));
+  EXPECT_TRUE(Contains(after, q));
+
+  // Deleting A, ahead of the covered E in band order, resurfaces nothing
+  // (B covers A's region): E's flag moves with the compacted band.
+  EXPECT_EQ(twins.Delete({kA}), 1u);
+  const SkylineIndices last = twins.Check();
+  EXPECT_EQ(twins.delta_stats().band_size, 2u);
+  EXPECT_EQ(twins.delta_stats().band_covered, 1u);
+  EXPECT_FALSE(Contains(last, kE));
+}
+
+// (f) A chain P ≺ P2 ≺ A: P retires P2, and deleting P re-promotes P2,
+// which keeps A covered while B returns.
+TEST(QueryServiceUpdatesTest, CoverChainRepromotesTheMiddleCandidate) {
+  enum : uint32_t { kA, kB, kE };
+  RepairTwins twins(CoverBase(), "cover_chain", LowXBox());
+  const uint32_t p2 = 3 + 300;
+  const uint32_t p = p2 + 1;
+  twins.Insert(Rows({kRowP2}));
+  twins.Insert(Rows({kRowP}));
+  const SkylineIndices before = twins.Check();
+  EXPECT_EQ(twins.delta_stats().delta_candidates, 1u);
+  EXPECT_FALSE(Contains(before, p2));
+
+  EXPECT_EQ(twins.Delete({p}), 0u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_EQ(twins.delta_stats().band_covered, 1u);
+  EXPECT_TRUE(Contains(after, p2));
+  EXPECT_FALSE(Contains(after, kA));
+  EXPECT_TRUE(Contains(after, kB));
+  EXPECT_TRUE(Contains(after, kE));
+}
+
+// (g) A band repair resurfaces S, but the live candidate P dominates it,
+// so S joins the band covered and stays out of the answer.
+TEST(QueryServiceUpdatesTest, CoverKeepsAResurfacedRowBehindALiveCandidate) {
+  enum : uint32_t { kD, kS, kE };
+  RepairTwins twins(RepairBase({{10, 10, 3000},  // D
+                                {20, 20, 3010},  // S: D only
+                                {5, 3000, 5}}),  // E: an unrelated member
+                    "cover_fresh", LowXBox());
+  const uint32_t p = 3 + 300;
+  twins.Insert(Rows({std::vector<Coord>{19, 19, 2000}}));  // P ≺ S, not D.
+  const SkylineIndices before = twins.Check();
+  EXPECT_TRUE(Contains(before, kD));
+  EXPECT_TRUE(Contains(before, p));
+
+  EXPECT_EQ(twins.Delete({kD}), 1u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_GE(twins.delta_stats().band_covered, 1u);
+  EXPECT_FALSE(Contains(after, kS));
+  EXPECT_TRUE(Contains(after, p));
+  EXPECT_TRUE(Contains(after, kE));
+}
+
+// (h) Covered members across an auto-merge: the merge carries the
+// uncovered band + candidates as the new band, with nothing covered, and
+// deleting the candidate afterwards resurfaces the members it covered.
+TEST(QueryServiceUpdatesTest, CoverCarriesAcrossAnAutoMerge) {
+  enum : uint32_t { kA, kB, kE };
+  RepairTwins twins(CoverBase(), "cover_merge", LowXBox(),
+                    /*merge_threshold=*/3);
+  const uint32_t p = 3 + 300;
+  const uint32_t q = p + 1;
+  EXPECT_FALSE(twins.Insert(Rows({kRowP})));
+  EXPECT_EQ(twins.delta_stats().band_covered, 2u);
+  EXPECT_TRUE(Contains(twins.Check(), kE));
+
+  // Q plus a dominated row reach the threshold; no row died, so the
+  // merge keeps every id.
+  EXPECT_TRUE(twins.Insert(Rows({kRowQ, std::vector<Coord>{99, 99, 99}})));
+  const SkylineIndices merged = twins.Check();
+  EXPECT_EQ(twins.delta_stats().band_covered, 0u);
+  EXPECT_EQ(merged, (SkylineIndices{p, q}));
+  EXPECT_EQ(twins.delta_stats().band_size, 2u);
+
+  EXPECT_EQ(twins.Delete({p}), 1u);
+  const SkylineIndices after = twins.Check();
+  EXPECT_TRUE(Contains(after, kA));
+  EXPECT_TRUE(Contains(after, kB));
+  EXPECT_FALSE(Contains(after, kE));
 }
 
 // The write path's spans: a band-member delete records its band repair

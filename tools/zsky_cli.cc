@@ -624,11 +624,13 @@ void PrintMutationSummary(const char* verb, const MutationResult& mr,
                "%s: applied=%zu fast_path=%zu rejected=%zu first_id=%u"
                " merged=%d repairs=%zu ms=%.3f\n"
                "delta: active=%d logical_rows=%zu alive_rows=%zu"
-               " delta_rows=%zu base_dead=%zu band=%zu\n",
+               " delta_rows=%zu base_dead=%zu band=%zu band_covered=%zu"
+               " delta_candidates=%zu\n",
                verb, mr.applied, mr.fast_path, mr.rejected, mr.first_id,
                mr.merged ? 1 : 0, service.stats().repairs, mr.ms,
                ds.active ? 1 : 0, ds.logical_rows, ds.alive_rows,
-               ds.delta_rows, ds.base_dead, ds.band_size);
+               ds.delta_rows, ds.base_dead, ds.band_size, ds.band_covered,
+               ds.delta_candidates);
 }
 
 // `insert`: load --in, insert a batch (--points inline or --add file),
@@ -921,11 +923,13 @@ int RunServe(const std::map<std::string, std::string>& flags) {
                  "  mutate: inserts=%zu deletes=%zu fast_path=%zu"
                  " merges=%zu repairs=%zu plan_patches=%zu\n"
                  "  delta: active=%d logical_rows=%zu alive_rows=%zu"
-                 " delta_rows=%zu band=%zu\n",
+                 " delta_rows=%zu band=%zu band_covered=%zu"
+                 " delta_candidates=%zu\n",
                  stats.inserts, stats.deletes, stats.fast_path_inserts,
                  stats.merges, stats.repairs, stats.plan_patches,
                  ds.active ? 1 : 0, ds.logical_rows, ds.alive_rows,
-                 ds.delta_rows, ds.band_size);
+                 ds.delta_rows, ds.band_size, ds.band_covered,
+                 ds.delta_candidates);
   }
   TraceEnd(trace_path);
   if (flags.count("json") != 0) {
