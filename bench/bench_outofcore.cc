@@ -91,7 +91,7 @@ ExecutorOptions PipelineOptions(size_t budget_mb, size_t n) {
   ExecutorOptions options;
   options.partitioning = PartitioningScheme::kZdg;
   options.local = LocalAlgorithm::kZSearch;
-  options.merge = MergeAlgorithm::kZMerge;
+  options.merge = MergeAlgorithm::kPrefixProbe;
   options.num_groups = 8;
   options.bits = kBits;
   options.num_map_tasks = 32;

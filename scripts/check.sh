@@ -4,7 +4,9 @@
 #
 # `scripts/check.sh tsan` instead builds with -fsanitize=thread and runs
 # the concurrency-sensitive tests (worker pool / MapReduce engine /
-# executor pipeline / query service) under ThreadSanitizer.
+# executor pipeline / query service / the query-variant pipeline matrix,
+# whose prefix-probe case reads one shared candidate tree from every pool
+# thread for k > 1, box, subspace and flip descs) under ThreadSanitizer.
 #
 # `scripts/check.sh asan` builds with -fsanitize=address,undefined and
 # runs the full tier-1 suite under ASan+UBSan.
@@ -91,9 +93,9 @@ if [ "${1:-}" = "tsan" ]; then
         -DZSKY_SANITIZE=thread \
         -DZSKY_BUILD_BENCHMARKS=OFF -DZSKY_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan --target mapreduce_test executor_test \
-        query_service_test fuzz_test
+        query_service_test fuzz_test query_variants_test
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'WorkerPool|MapReduceJob|TaskRunner|Executor|Pipeline|QueryService'
+        -R 'WorkerPool|MapReduceJob|TaskRunner|Executor|Pipeline|QueryService|QueryVariantParity'
   echo "TSAN CHECKS PASSED"
   exit 0
 fi

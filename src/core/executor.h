@@ -90,8 +90,8 @@ struct SkylineQueryResult {
 //   2. MR job 1 (core/pipeline.h): route points to groups (filtering
 //      against the sample skyline), compute per-group local skylines ->
 //      candidates;
-//   3. MR job 2 (core/pipeline.h): merge candidates (Z-merge or a
-//      centralized re-run).
+//   3. MR job 2 (core/pipeline.h): merge candidates (a parallel prefix
+//      probe, Z-merge or a centralized re-run).
 //
 // Configured by ExecutorOptions to realize every strategy combination the
 // paper evaluates (Grid/Angle/Naive-Z/ZHG/ZDG x SB/ZS x SB/ZS/ZM).

@@ -42,8 +42,8 @@ std::string_view MergeAlgorithmName(MergeAlgorithm m) {
       return "zs";
     case MergeAlgorithm::kZMerge:
       return "zm";
-    case MergeAlgorithm::kParallelZMerge:
-      return "pzm";
+    case MergeAlgorithm::kPrefixProbe:
+      return "pp";
   }
   return "unknown";
 }

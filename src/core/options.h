@@ -36,10 +36,10 @@ enum class MergeAlgorithm {
                     // candidates.
   kZSearch,         // Re-run Z-search over candidates ("ZDG+ZS", §6).
   kZMerge,          // Tree-vs-tree Z-merge (Algorithm 4, "ZM").
-  kParallelZMerge,  // Two-level merge (ours): `merge_reducers` reducers
-                    // Z-merge disjoint group subsets in parallel, then the
-                    // partial skylines are Z-merged once. Addresses §5.3's
-                    // single-reducer bottleneck.
+  kPrefixProbe,     // Parallel sort-then-filter (ours, "PP"): one ZB-tree
+                    // over all candidates; job 2's map wave tests every
+                    // candidate against the tree slots before its own.
+                    // Removes §5.3's single-reducer merge.
 };
 
 std::string_view PartitioningSchemeName(PartitioningScheme s);
@@ -50,7 +50,7 @@ std::string_view MergeAlgorithmName(MergeAlgorithm m);
 struct ExecutorOptions {
   PartitioningScheme partitioning = PartitioningScheme::kZdg;
   LocalAlgorithm local = LocalAlgorithm::kZSearch;
-  MergeAlgorithm merge = MergeAlgorithm::kZMerge;
+  MergeAlgorithm merge = MergeAlgorithm::kPrefixProbe;
 
   // M: number of groups / reduce-side workers.
   uint32_t num_groups = 8;
@@ -61,11 +61,10 @@ struct ExecutorOptions {
   double sample_ratio = 0.01;
 
   uint32_t num_map_tasks = 16;
-  // Map tasks of MR job 2 (candidate merging); 0 = num_map_tasks. The
-  // paper's original formulation ran job 2's map phase as a single task.
+  // Map tasks of MR job 2 (candidate merging); 0 = one per 256 probed
+  // candidates under kPrefixProbe, num_map_tasks otherwise. The paper's
+  // original formulation ran job 2's map phase as a single task.
   uint32_t job2_map_tasks = 0;
-  // Reducers of MR job 2 when merge == kParallelZMerge.
-  uint32_t merge_reducers = 8;
   // Worker threads (0 = hardware concurrency).
   uint32_t num_threads = 0;
   bool enable_combiner = true;

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -801,26 +802,62 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
     uint32_t row;
   };
   const uint32_t dim = points.dim();
-  const bool parallel_merge = options.merge == MergeAlgorithm::kParallelZMerge;
-  const uint32_t merge_reducers =
-      parallel_merge ? std::max<uint32_t>(1, options.merge_reducers) : 1;
-  std::mutex result_mutex;
+  const size_t n = candidates.size();
+  const bool prefix_probe = options.merge == MergeAlgorithm::kPrefixProbe;
   SkylineIndices final_skyline;
-  // With parallel merge, each reducer produces a partial skyline (k-band);
-  // the master then merges the partials once (two-level merge tree).
-  std::vector<SkylineIndices> partials;
 
-  // The seed (like the paper's formulation) ran job 2's map phase as a
-  // single task; splitting the candidate list across map tasks removes
-  // that serial stage from the hot path.
+  // Candidate-side working set per candidate. The prefix probe holds one
+  // tree over all candidates: the gathered rows, the tree's point copy,
+  // its SoA mirror, Z-words and id. A reducer-side merge holds its
+  // gathered points and the merge trees over them (~2 point copies and a
+  // row id).
+  const size_t point_bytes = static_cast<size_t>(dim) * sizeof(Coord);
+  const size_t cand_row_bytes =
+      prefix_probe
+          ? (plan.tree_options.block_leaf_scan ? 3 : 2) * point_bytes +
+                codec.num_words() * sizeof(uint64_t) + sizeof(uint32_t)
+          : 2 * point_bytes + sizeof(uint32_t);
+
+  // Prefix probe: gather every candidate into query space once and
+  // bulk-load one tree; its slots are the candidates in Z-order. The
+  // build runs on the driver, so it is serial time. The rows are gathered
+  // in row order: a sorted gather releases a residency-bounded backing's
+  // pages behind it (DatasetView::Gather), where the concatenated groups
+  // would leave every page they touch resident.
+  std::optional<ZBTree> tree;
+  std::optional<ScopedCandidateBytes> tree_scope;
+  double tree_ms = 0.0;
+  if (prefix_probe) {
+    ZSKY_TRACE_SPAN_ARGS("pipeline.job2_tree",
+                         "{\"candidates\":" + std::to_string(n) + "}");
+    Stopwatch tree_watch;
+    tree_scope.emplace(static_cast<uint64_t>(n) * cand_row_bytes);
+    std::vector<uint32_t> rows;
+    rows.reserve(n);
+    for (const auto& [gid, row] : candidates) rows.push_back(row);
+    CandidateList().swap(candidates);
+    std::sort(rows.begin(), rows.end());
+    tree.emplace(&codec, GatherTransformed(points, rows, v, max_coord),
+                 std::move(rows), plan.tree_options);
+    tree_ms = tree_watch.ElapsedMs();
+  }
+
+  // The probe wave runs fixed 256-slot morsels, so its task count depends
+  // only on the candidate count. The seed (like the paper's formulation)
+  // ran job 2's map phase as a single task; splitting the candidate list
+  // across map tasks removes that serial stage from the hot path.
+  constexpr size_t kProbeMorselSlots = 256;
+  const size_t default_map_tasks =
+      prefix_probe ? (n + kProbeMorselSlots - 1) / kProbeMorselSlots
+                   : options.num_map_tasks;
   const size_t job2_map_tasks = std::max<size_t>(
       1, std::min<size_t>(options.job2_map_tasks != 0
                               ? options.job2_map_tasks
-                              : options.num_map_tasks,
-                          std::max<size_t>(candidates.size(), 1)));
+                              : default_map_tasks,
+                          std::max<size_t>(n, 1)));
 
   typename mr::MapReduceJob<Candidate>::Options job2_options;
-  job2_options.num_reduce_tasks = merge_reducers;
+  job2_options.num_reduce_tasks = 1;
   job2_options.num_threads = options.num_threads;
   job2_options.pool = pool;
   job2_options.spawn_per_wave = !options.reuse_worker_pool;
@@ -828,26 +865,21 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   job2_options.legacy_record_path = !options.zero_copy_shuffle;
   job2_options.morsel_scheduling = options.morsel_scheduling;
   job2_options.spill_to_disk = options.spill_to_disk;
-  // Fold job 2's candidate-side working set (reduce-time gathers + merge
-  // trees, roughly two point copies and a row id per candidate) under the
-  // same memory budget that bounds the shuffle, instead of letting it
-  // ride on top: the shuffle's slice of the budget shrinks by the
-  // estimate, floored at a quarter of the budget so tiny budgets still
-  // make progress.
+  // Fold job 2's candidate-side working set under the same memory budget
+  // that bounds the shuffle, instead of letting it ride on top: the
+  // shuffle's slice of the budget shrinks by the estimate, floored at a
+  // quarter of the budget so tiny budgets still make progress.
   size_t job2_budget = options.shuffle_memory_budget_bytes;
   if (job2_budget > 0) {
-    const size_t cand_est =
-        candidates.size() *
-        (2 * static_cast<size_t>(dim) * sizeof(Coord) + sizeof(uint32_t));
+    const size_t cand_est = n * cand_row_bytes;
     job2_budget = std::max(
         job2_budget / 4,
         job2_budget > cand_est ? job2_budget - cand_est : job2_budget / 4);
   }
   job2_options.shuffle_memory_budget_bytes = job2_budget;
   if (!options.spill_dir.empty()) job2_options.spill_dir = options.spill_dir;
-  job2_options.split_size = [&candidates, job2_map_tasks](size_t task) {
-    return (task + 1) * candidates.size() / job2_map_tasks -
-           task * candidates.size() / job2_map_tasks;
+  job2_options.split_size = [n, job2_map_tasks](size_t task) {
+    return (task + 1) * n / job2_map_tasks - task * n / job2_map_tasks;
   };
   job2_options.enable_combiner = false;
   job2_options.max_task_attempts = options.max_task_attempts;
@@ -862,15 +894,24 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   mr::MapReduceJob<Candidate> job2(job2_options);
 
   auto job2_map = [&](size_t task, auto& emit) {
-    const size_t begin = task * candidates.size() / job2_map_tasks;
-    const size_t end = (task + 1) * candidates.size() / job2_map_tasks;
-    for (size_t i = begin; i < end; ++i) {
-      const auto& [gid, row] = candidates[i];
-      emit(parallel_merge
-               ? static_cast<int32_t>(static_cast<uint32_t>(gid) %
-                                      merge_reducers)
-               : 0,
-           Candidate{gid, row});
+    const size_t begin = task * n / job2_map_tasks;
+    const size_t end = (task + 1) * n / job2_map_tasks;
+    if (!prefix_probe) {
+      for (size_t i = begin; i < end; ++i) {
+        const auto& [gid, row] = candidates[i];
+        emit(0, Candidate{gid, row});
+      }
+      return;
+    }
+    // A strict dominator of slot s has a smaller Z-address, so it sits in
+    // a slot before s: testing s against slots [0, s) decides it exactly
+    // (docs/architecture.md "Phase 3"). Only survivors reach the reducer.
+    for (size_t slot = begin; slot < end; ++slot) {
+      const std::span<const Coord> p = tree->point(slot);
+      const bool dropped =
+          desc.k > 1 ? tree->CountDominatorsOf(p, desc.k, slot) >= desc.k
+                     : tree->ExistsDominatorOf(p, slot);
+      if (!dropped) emit(0, Candidate{0, tree->id(slot)});
     }
   };
   // Z-merges a set of candidates grouped by gid; every gid's candidate
@@ -890,133 +931,64 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
     }
     return ZMergeAll(codec, tree_ptrs, plan.tree_options, stats);
   };
+  // One reducer, one key: it runs once, after the map wave.
   auto job2_reduce = [&](int32_t /*key*/, std::span<const Candidate> values) {
-    // Candidate working set of this reducer: the gathered points plus the
-    // merge trees built over them (~2 point copies + a row id each).
+    if (prefix_probe) {
+      for (const Candidate& c : values) final_skyline.push_back(c.row);
+      return;
+    }
     const ScopedCandidateBytes cand_scope(
-        static_cast<uint64_t>(values.size()) *
-        (2 * static_cast<uint64_t>(dim) * sizeof(Coord) + sizeof(uint32_t)));
-    SkylineIndices merged;
+        static_cast<uint64_t>(values.size()) * cand_row_bytes);
     ZMergeStats stats;
     if (desc.k > 1) {
       // k-skyband merge: every algorithm becomes a band recount over the
-      // reducer's candidates. Exact because job 1's local bands kept, for
-      // each dropped point, >= k of its dominators among the candidates
-      // (see LocalSkylineK), and the same induction applies again to the
-      // master recount over the partials below.
+      // candidates. Exact because job 1's local bands kept, for each
+      // dropped point, >= k of its dominators among the candidates (see
+      // LocalSkylineK).
       std::vector<uint32_t> rows;
       rows.reserve(values.size());
       for (const Candidate& c : values) rows.push_back(c.row);
       const PointSet all = GatherTransformed(points, rows, v, max_coord);
       for (uint32_t i : ZOrderSkyband(codec, all, desc.k)) {
-        merged.push_back(rows[i]);
+        final_skyline.push_back(rows[i]);
       }
+    } else if (options.merge == MergeAlgorithm::kZMerge) {
+      final_skyline = zmerge_by_group(values, &stats);
     } else {
-      switch (options.merge) {
-        case MergeAlgorithm::kZMerge:
-        case MergeAlgorithm::kParallelZMerge: {
-          merged = zmerge_by_group(values, &stats);
-          break;
-        }
-        case MergeAlgorithm::kZSearch:
-        case MergeAlgorithm::kSortBased: {
-          std::vector<uint32_t> rows;
-          rows.reserve(values.size());
-          for (const Candidate& c : values) rows.push_back(c.row);
-          const PointSet all = GatherTransformed(points, rows, v, max_coord);
-          const LocalAlgorithm merge_algo =
-              options.merge == MergeAlgorithm::kZSearch
-                  ? LocalAlgorithm::kZSearch
-                  : LocalAlgorithm::kSortBased;
-          for (uint32_t i :
-               LocalSkyline(codec, all, merge_algo, plan.tree_options,
-                            options.use_block_kernel)) {
-            merged.push_back(rows[i]);
-          }
-          break;
-        }
+      std::vector<uint32_t> rows;
+      rows.reserve(values.size());
+      for (const Candidate& c : values) rows.push_back(c.row);
+      const PointSet all = GatherTransformed(points, rows, v, max_coord);
+      const LocalAlgorithm merge_algo =
+          options.merge == MergeAlgorithm::kZSearch
+              ? LocalAlgorithm::kZSearch
+              : LocalAlgorithm::kSortBased;
+      for (uint32_t i : LocalSkyline(codec, all, merge_algo, plan.tree_options,
+                                     options.use_block_kernel)) {
+        final_skyline.push_back(rows[i]);
       }
     }
-    const std::lock_guard<std::mutex> lock(result_mutex);
     pm.merge_stats.subtrees_discarded += stats.subtrees_discarded;
     pm.merge_stats.subtrees_appended += stats.subtrees_appended;
     pm.merge_stats.points_tested += stats.points_tested;
     pm.merge_stats.skyline_removed += stats.skyline_removed;
-    if (parallel_merge) {
-      partials.push_back(std::move(merged));
-    } else {
-      final_skyline.insert(final_skyline.end(), merged.begin(), merged.end());
-    }
   };
-  const size_t point_bytes = static_cast<size_t>(dim) * sizeof(Coord);
   const ScanCounterSnapshot scan0 = SnapshotScanCounters();
   pm.job2 = job2.Run(
       job2_map_tasks, job2_map, nullptr, job2_reduce,
       [point_bytes](const Candidate&) { return point_bytes + 4; });
+  // Every candidate is one probe of the tree.
+  if (prefix_probe) pm.merge_stats.points_tested += n;
+  tree.reset();
+  tree_scope.reset();
+  SortSkyline(final_skyline);
 
-  // Final master-side merge of the partial skylines (parallel merge only).
-  double final_merge_ms = 0.0;
-  if (parallel_merge) {
-    ZSKY_TRACE_SPAN_ARGS(
-        "pipeline.final_merge",
-        "{\"partials\":" + std::to_string(partials.size()) + "}");
-    Stopwatch final_watch;
-    size_t partial_rows = 0;
-    for (const SkylineIndices& partial : partials) {
-      partial_rows += partial.size();
-    }
-    const ScopedCandidateBytes cand_scope(
-        static_cast<uint64_t>(partial_rows) *
-        (2 * static_cast<uint64_t>(dim) * sizeof(Coord) + sizeof(uint32_t)));
-    if (desc.k > 1) {
-      // Master-side band recount over the union of the partial bands.
-      std::vector<uint32_t> rows;
-      for (const SkylineIndices& partial : partials) {
-        rows.insert(rows.end(), partial.begin(), partial.end());
-      }
-      const PointSet all = GatherTransformed(points, rows, v, max_coord);
-      for (uint32_t i : ZOrderSkyband(codec, all, desc.k)) {
-        final_skyline.push_back(rows[i]);
-      }
-    } else {
-      std::vector<std::unique_ptr<ZBTree>> partial_trees(partials.size());
-      if (pool != nullptr && partials.size() > 1) {
-        pool->Run(partials.size(), [&](size_t i) {
-          if (partials[i].empty()) return;
-          const PointSet partial_points =
-              GatherTransformed(points, partials[i], v, max_coord);
-          partial_trees[i] = std::make_unique<ZBTree>(
-              &codec, partial_points, std::move(partials[i]),
-              plan.tree_options);
-        });
-      } else {
-        for (size_t i = 0; i < partials.size(); ++i) {
-          if (partials[i].empty()) continue;
-          const PointSet partial_points =
-              GatherTransformed(points, partials[i], v, max_coord);
-          partial_trees[i] = std::make_unique<ZBTree>(
-              &codec, partial_points, std::move(partials[i]),
-              plan.tree_options);
-        }
-      }
-      std::vector<const ZBTree*> tree_ptrs;
-      for (const auto& tree : partial_trees) {
-        if (tree != nullptr) tree_ptrs.push_back(tree.get());
-      }
-      ZMergeStats stats;
-      final_skyline = ZMergeAll(codec, tree_ptrs, plan.tree_options, &stats);
-      pm.merge_stats.subtrees_discarded += stats.subtrees_discarded;
-      pm.merge_stats.points_tested += stats.points_tested;
-    }
-    final_merge_ms = final_watch.ElapsedMs();
-  }
   FillScanDeltas(pm.job2, scan0);
   pm.candidate_peak_bytes =
       GlobalScanCounters().candidate_bytes_peak.load(std::memory_order_relaxed);
   pm.job2_ms = job2_watch.ElapsedMs();
   pm.sim_job2_ms =
-      pm.job2.SimulatedMs(SimSlots(options), options.sim_net_mbps) +
-      final_merge_ms;
+      pm.job2.SimulatedMs(SimSlots(options), options.sim_net_mbps) + tree_ms;
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.counter("skyline_points").Add(final_skyline.size());
@@ -1024,8 +996,6 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   registry.counter("zmerge_subtrees_discarded")
       .Add(pm.merge_stats.subtrees_discarded);
   FoldJobIntoRegistry(pm.job2, "job2_map_task_us", "job2_reduce_task_us");
-
-  SortSkyline(final_skyline);
   return final_skyline;
 }
 

@@ -72,12 +72,13 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
                               const QueryDesc& desc = {},
                               const uint8_t* alive = nullptr);
 
-// MR job 2 (Section 5.3): merge the candidates into the global skyline
-// (Z-merge, parallel two-level Z-merge, or a centralized re-run). For
+// MR job 2 (Section 5.3): merge the candidates into the global skyline.
+// kPrefixProbe builds one ZB-tree over the candidates and tests every
+// candidate against the tree slots before its own in a parallel map wave;
+// the other merges run Z-merge or a centralized re-run on one reducer. For
 // desc.k > 1 every merge algorithm becomes an exact skyband recount over
-// the candidates (reducers emit partial k-bands, the master recounts their
-// union). Fills pm.job2 / job2_ms / sim_job2_ms / merge_stats. Returns the
-// band in ascending row order.
+// the candidates. Fills pm.job2 / job2_ms / sim_job2_ms / merge_stats.
+// Returns the band in ascending row order.
 SkylineIndices RunMergeJob(const PreparedPlan& plan,
                            const ExecutorOptions& options,
                            const DatasetView& points,

@@ -41,16 +41,16 @@ PlanDecision PlanQuery(const DatasetView& points,
     // Nearly everything is a skyline point: the SZB filter rejects almost
     // nothing but costs an index query per input point.
     options.local = LocalAlgorithm::kZSearch;
-    options.merge = MergeAlgorithm::kZMerge;
+    options.merge = MergeAlgorithm::kPrefixProbe;
     options.enable_szb_filter = false;
     decision.rationale =
-        "extreme dimensionality: ZS locals + Z-merge, SZB filter off";
+        "extreme dimensionality: ZS locals + prefix probe, SZB filter off";
   } else if (high_dim || skyline_heavy) {
     options.local = LocalAlgorithm::kZSearch;
-    options.merge = MergeAlgorithm::kZMerge;
+    options.merge = MergeAlgorithm::kPrefixProbe;
     decision.rationale =
-        skyline_heavy ? "skyline-heavy sample: ZS locals + Z-merge"
-                      : "high dimensionality: ZS locals + Z-merge";
+        skyline_heavy ? "skyline-heavy sample: ZS locals + prefix probe"
+                      : "high dimensionality: ZS locals + prefix probe";
   } else {
     // Small skylines at low dimensionality: pairwise passes win and the
     // merge input is tiny.
@@ -269,7 +269,7 @@ PlanChoice ChoosePlan(const DatasetView& points, const ExecutorOptions& base,
         cand.num_groups = groups;
         cand.merge = local == LocalAlgorithm::kSortBased
                          ? MergeAlgorithm::kSortBased
-                         : MergeAlgorithm::kZMerge;
+                         : MergeAlgorithm::kPrefixProbe;
         // The rule-based regimes that are about correctness/robustness
         // rather than cost still apply: at extreme dimensionality the SZB
         // filter rejects almost nothing but costs a probe per point.

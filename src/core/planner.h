@@ -28,7 +28,7 @@ struct PlanDecision {
 // rules follow the paper's measured regimes, reproduced by bench_fig7 and
 // bench_centralized):
 //  - low dimensionality & tiny skylines: SB locals beat index-based ones;
-//  - d >= 7 or skyline-heavy data: Z-search locals, Z-merge final merge;
+//  - d >= 7 or skyline-heavy data: Z-search locals, prefix-probe merge;
 //  - very high dimensionality (>= 32): skip the SZB filter (it filters
 //    almost nothing and costs a query per point).
 // `base` carries the caller's fixed settings (num_groups, bits, threads);
@@ -123,7 +123,7 @@ struct PlanChoice {
 // Unlike the rule-based PlanQuery above, ChoosePlan may also change
 // num_groups (the reducer count) — pass the result's `options` to
 // PreparePlan to build the real plan. The final-merge algorithm follows
-// the local one (SB locals -> SB merge, ZS locals -> Z-merge).
+// the local one (SB locals -> SB merge, ZS locals -> prefix probe).
 // When `desc` is non-null the candidates are priced for that query variant
 // (EstimatePlanCost's desc overload): a tight constraint box shrinks the
 // predicted shuffle/merge volumes, which can flip the choice toward

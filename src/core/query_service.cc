@@ -773,7 +773,6 @@ SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
 
   ExecutorOptions run_options = options_.executor;
   if (request.merge) run_options.merge = *request.merge;
-  if (request.merge_reducers) run_options.merge_reducers = *request.merge_reducers;
   if (request.num_map_tasks) run_options.num_map_tasks = *request.num_map_tasks;
   if (request.job2_map_tasks) run_options.job2_map_tasks = *request.job2_map_tasks;
 

@@ -30,7 +30,6 @@ namespace zsky {
 // the new options).
 struct QueryRequest {
   std::optional<MergeAlgorithm> merge;
-  std::optional<uint32_t> merge_reducers;
   std::optional<uint32_t> num_map_tasks;
   std::optional<uint32_t> job2_map_tasks;
   // The query variant (common/query_desc.h): constraint box, dimension

@@ -131,76 +131,84 @@ ZBTree::ZBTree(const ZOrderCodec* codec, const PointSet& points,
   }
 }
 
-bool ZBTree::ExistsDominatorOf(std::span<const Coord> p) const {
-  if (nodes_.empty() || alive_total_ == 0) return false;
-  return ExistsDominatorIn(root().index, p);
+bool ZBTree::ExistsDominatorOf(std::span<const Coord> p,
+                               size_t slot_end) const {
+  if (nodes_.empty() || alive_total_ == 0 || slot_end == 0) return false;
+  return ExistsDominatorIn(root().index, p, slot_end);
 }
 
-bool ZBTree::ExistsDominatorIn(uint32_t node_index,
-                               std::span<const Coord> p) const {
+bool ZBTree::ExistsDominatorIn(uint32_t node_index, std::span<const Coord> p,
+                               size_t slot_end) const {
   const Node& node = nodes_[node_index];
   if (node.alive == 0) return false;
   const RZRegion& region = node.region;
   if (!region.MayDominatePoint(p)) return false;
   // If even the region's max corner dominates p, every entry in the
-  // subtree does.
-  if (Dominates(region.max_corner(), p)) return true;
+  // subtree does; only a subtree wholly before slot_end may answer so.
+  if (node.entry_end <= slot_end && Dominates(region.max_corner(), p)) {
+    return true;
+  }
   if (node.child_end == 0) {
+    const size_t end = std::min<size_t>(node.entry_end, slot_end);
     if (!soa_.empty()) {
       // Poisoned (dead) slots are all-max and can never strictly dominate,
       // so the block scan needs no alive-check.
       return SoAAnyDominates(soa_.data(), ids_.size(), codec_->dim(),
-                             node.entry_begin, node.entry_end, p);
+                             node.entry_begin, end, p);
     }
-    for (size_t slot = node.entry_begin; slot < node.entry_end; ++slot) {
+    for (size_t slot = node.entry_begin; slot < end; ++slot) {
       if (alive_[slot] && Dominates(points_[slot], p)) return true;
     }
     return false;
   }
-  for (uint32_t c = node.child_begin; c < node.child_end; ++c) {
-    if (ExistsDominatorIn(c, p)) return true;
+  // Children are in slot order: stop at the first one past slot_end.
+  for (uint32_t c = node.child_begin;
+       c < node.child_end && nodes_[c].entry_begin < slot_end; ++c) {
+    if (ExistsDominatorIn(c, p, slot_end)) return true;
   }
   return false;
 }
 
-size_t ZBTree::CountDominatorsOf(std::span<const Coord> p,
-                                 size_t cap) const {
+size_t ZBTree::CountDominatorsOf(std::span<const Coord> p, size_t cap,
+                                 size_t slot_end) const {
   size_t count = 0;
-  if (!nodes_.empty() && alive_total_ > 0 && cap > 0) {
-    CountDominatorsIn(root().index, p, cap, count);
+  if (!nodes_.empty() && alive_total_ > 0 && cap > 0 && slot_end > 0) {
+    CountDominatorsIn(root().index, p, cap, slot_end, count);
   }
   return count;
 }
 
 void ZBTree::CountDominatorsIn(uint32_t node_index, std::span<const Coord> p,
-                               size_t cap, size_t& count) const {
+                               size_t cap, size_t slot_end,
+                               size_t& count) const {
   if (count >= cap) return;
   const Node& node = nodes_[node_index];
   if (node.alive == 0) return;
   const RZRegion& region = node.region;
   if (!region.MayDominatePoint(p)) return;
-  if (Dominates(region.max_corner(), p)) {
+  if (node.entry_end <= slot_end && Dominates(region.max_corner(), p)) {
     // Every alive entry below dominates p.
     count = std::min(cap, count + node.alive);
     return;
   }
   if (node.child_end == 0) {
+    const size_t end = std::min<size_t>(node.entry_end, slot_end);
     if (!soa_.empty()) {
       count = std::min(
           cap, count + SoACountDominators(soa_.data(), ids_.size(),
                                           codec_->dim(), node.entry_begin,
-                                          node.entry_end, p));
+                                          end, p));
       return;
     }
-    for (size_t slot = node.entry_begin;
-         slot < node.entry_end && count < cap; ++slot) {
+    for (size_t slot = node.entry_begin; slot < end && count < cap; ++slot) {
       if (alive_[slot] && Dominates(points_[slot], p)) ++count;
     }
     return;
   }
-  for (uint32_t c = node.child_begin; c < node.child_end && count < cap;
+  for (uint32_t c = node.child_begin; c < node.child_end && count < cap &&
+                                      nodes_[c].entry_begin < slot_end;
        ++c) {
-    CountDominatorsIn(c, p, cap, count);
+    CountDominatorsIn(c, p, cap, slot_end, count);
   }
 }
 

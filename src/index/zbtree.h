@@ -2,6 +2,7 @@
 #define ZSKY_INDEX_ZBTREE_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -79,12 +80,19 @@ class ZBTree {
 
   // --- Queries. ---
 
+  // Queries consider only the slots before `slot_end`. A strict dominator
+  // of the entry in slot s has a smaller Z-address, so slot_end = s tests s
+  // against exactly the entries that can dominate it.
+  static constexpr size_t kAllSlots = std::numeric_limits<size_t>::max();
+
   // True iff some alive entry strictly dominates `p`.
-  bool ExistsDominatorOf(std::span<const Coord> p) const;
+  bool ExistsDominatorOf(std::span<const Coord> p,
+                         size_t slot_end = kAllSlots) const;
 
   // Number of alive entries strictly dominating `p`, counting stops at
   // `cap` (the k-skyband threshold test only needs "reached k?").
-  size_t CountDominatorsOf(std::span<const Coord> p, size_t cap) const;
+  size_t CountDominatorsOf(std::span<const Coord> p, size_t cap,
+                           size_t slot_end = kAllSlots) const;
 
   // True iff some alive entry dominates the RZ-region whose min corner is
   // `region_min` (i.e., strictly dominates the corner; such an entry
@@ -135,9 +143,10 @@ class ZBTree {
     RZRegion region;
   };
 
-  bool ExistsDominatorIn(uint32_t node_index, std::span<const Coord> p) const;
+  bool ExistsDominatorIn(uint32_t node_index, std::span<const Coord> p,
+                         size_t slot_end) const;
   void CountDominatorsIn(uint32_t node_index, std::span<const Coord> p,
-                         size_t cap, size_t& count) const;
+                         size_t cap, size_t slot_end, size_t& count) const;
   size_t RemoveDominatedIn(uint32_t node_index, std::span<const Coord> p);
   size_t KillSubtree(uint32_t node_index);
   // Tombstones `slot` and, when the SoA mirror exists, poisons its lanes to

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "algo/bnl.h"
+#include "algo/skyband.h"
 #include "common/quantizer.h"
 #include "core/executor.h"
 #include "core/mr_gpmrs.h"
+#include "core/pipeline.h"
+#include "core/query_plan.h"
 #include "gen/synthetic.h"
 
 namespace zsky {
@@ -99,10 +102,10 @@ INSTANTIATE_TEST_SUITE_P(
                      MergeAlgorithm::kZMerge, Distribution::kAnticorrelated,
                      3},
         PipelineCase{PartitioningScheme::kZdg, LocalAlgorithm::kZSearch,
-                     MergeAlgorithm::kParallelZMerge,
+                     MergeAlgorithm::kPrefixProbe,
                      Distribution::kAnticorrelated, 4},
         PipelineCase{PartitioningScheme::kNaiveZ, LocalAlgorithm::kZSearch,
-                     MergeAlgorithm::kParallelZMerge,
+                     MergeAlgorithm::kPrefixProbe,
                      Distribution::kIndependent, 5},
         PipelineCase{PartitioningScheme::kZdg, LocalAlgorithm::kSortBased,
                      MergeAlgorithm::kZSearch, Distribution::kIndependent,
@@ -122,7 +125,7 @@ TEST(PipelineMatrixTest, AllCombinations) {
                                    LocalAlgorithm::kBbs};
   const MergeAlgorithm merges[] = {
       MergeAlgorithm::kSortBased, MergeAlgorithm::kZSearch,
-      MergeAlgorithm::kZMerge, MergeAlgorithm::kParallelZMerge};
+      MergeAlgorithm::kZMerge, MergeAlgorithm::kPrefixProbe};
   for (auto dist : {Distribution::kIndependent, Distribution::kCorrelated,
                     Distribution::kAnticorrelated}) {
     const PointSet points = MakePoints(dist, 1200, 4, 90);
@@ -136,7 +139,6 @@ TEST(PipelineMatrixTest, AllCombinations) {
           options.merge = merge;
           options.bits = kBits;
           options.num_groups = 5;
-          options.merge_reducers = 3;
           options.num_map_tasks = 4;
           const auto result =
               ParallelSkylineExecutor(options).Execute(points);
@@ -255,7 +257,7 @@ TEST(ExecutorTest, HotPathTogglesAreOutputInvisible) {
     ExecutorOptions options;
     options.bits = kBits;
     options.partitioning = PartitioningScheme::kZdg;
-    options.merge = MergeAlgorithm::kParallelZMerge;
+    options.merge = MergeAlgorithm::kPrefixProbe;
     options.num_threads = 4;
     options.reuse_worker_pool = hot;
     options.parallel_shuffle = hot;
@@ -365,12 +367,16 @@ TEST(MrGpmrsTest, CellPruningFiresOnCorrelatedData) {
   EXPECT_GT(result.metrics.dropped_by_pruning, 0u);
 }
 
+// A retried task commits its output once; under the prefix probe a
+// retried job-2 morsel must not duplicate its survivors.
 TEST(ExecutorTest, SurvivesInjectedTaskFailures) {
   const PointSet points = MakePoints(Distribution::kIndependent, 6000, 4, 58);
   ExecutorOptions clean;
   clean.bits = kBits;
+  clean.merge = MergeAlgorithm::kPrefixProbe;
   const SkylineIndices expected =
       ParallelSkylineExecutor(clean).Execute(points).skyline;
+  ASSERT_EQ(expected, BnlSkyline(points));
 
   ExecutorOptions faulty = clean;
   faulty.max_task_attempts = 20;
@@ -383,7 +389,10 @@ TEST(ExecutorTest, SurvivesInjectedTaskFailures) {
   EXPECT_TRUE(result.metrics.job1.succeeded);
   EXPECT_TRUE(result.metrics.job2.succeeded);
   EXPECT_GT(result.metrics.job1.failed_attempts, 0u);
-  EXPECT_GT(result.metrics.job2.failed_attempts, 0u);
+  EXPECT_EQ(result.metrics.job2.failed_attempts,
+            2 * (result.metrics.job2.map_tasks.size() +
+                 result.metrics.job2.reduce_tasks.size()));
+  EXPECT_GT(result.metrics.job2.map_tasks.size(), 1u);
 }
 
 TEST(ExecutorTest, ExhaustedRetriesReportFailure) {
@@ -398,20 +407,36 @@ TEST(ExecutorTest, ExhaustedRetriesReportFailure) {
   EXPECT_FALSE(result.metrics.job1.succeeded);
 }
 
-TEST(ExecutorTest, ParallelMergeMatchesSingleReducerMerge) {
-  const PointSet points =
-      MakePoints(Distribution::kAnticorrelated, 8000, 4, 57);
-  ExecutorOptions single;
-  single.bits = kBits;
-  single.merge = MergeAlgorithm::kZMerge;
-  ExecutorOptions parallel = single;
-  parallel.merge = MergeAlgorithm::kParallelZMerge;
-  for (uint32_t reducers : {1u, 2u, 5u, 16u}) {
-    parallel.merge_reducers = reducers;
-    EXPECT_EQ(ParallelSkylineExecutor(parallel).Execute(points).skyline,
-              ParallelSkylineExecutor(single).Execute(points).skyline)
-        << reducers << " merge reducers";
+// Candidates with equal coordinates from two groups: neither strictly
+// dominates the other, so the prefix probe keeps both at k = 1, and at
+// k = 2 a point below both copies counts two dominators.
+TEST(ExecutorTest, PrefixProbeKeepsEqualCandidatesFromTwoGroups) {
+  PointSet points(2);
+  points.Append({1, 1});  // 0, group 0
+  points.Append({1, 1});  // 1, group 1: equal to row 0
+  points.Append({2, 2});  // 2: dominated by rows 0 and 1
+  points.Append({0, 5});  // 3
+  points.Append({5, 0});  // 4
+  points.Append({0, 6});  // 5: dominated by row 3 only
+  points.Append({2, 2});  // 6: equal to row 2
+  ExecutorOptions options;
+  options.bits = kBits;
+  options.merge = MergeAlgorithm::kPrefixProbe;
+  options.num_threads = 2;
+  const PreparedPlan plan = PreparePlan(points, options);
+  const CandidateList candidates{{0, 0}, {1, 1}, {0, 2}, {0, 3},
+                                 {1, 4}, {1, 5}, {0, 6}};
+  for (uint32_t k : {1u, 2u, 3u}) {
+    QueryDesc desc;
+    desc.k = k;
+    PhaseMetrics pm;
+    const SkylineIndices got = RunMergeJob(plan, options, points, candidates,
+                                           nullptr, pm, desc);
+    EXPECT_EQ(got, NaiveSkyband(points, k)) << "k=" << k;
   }
+  PhaseMetrics pm;
+  EXPECT_EQ(RunMergeJob(plan, options, points, candidates, nullptr, pm),
+            (SkylineIndices{0, 1, 3, 4}));
 }
 
 TEST(ExecutorTest, DeterministicAcrossRuns) {

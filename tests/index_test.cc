@@ -101,6 +101,72 @@ TEST(ZBTreeTest, RemoveDominatedMatchesBruteForce) {
   EXPECT_EQ(ids, brute_ids);
 }
 
+// The slot bound restricts both queries to the alive entries in slots
+// [0, slot_end), with and without the block leaf scan, across equal
+// points, tombstones, and the bounds 0 and size(). Bounds that cut
+// leaves and inner nodes are swept exhaustively for points outside the
+// tree.
+TEST(ZBTreeTest, SlotBoundedQueriesMatchBruteForce) {
+  ZOrderCodec codec(3, 4);
+  // 4-bit coordinates over 600 points: many equal points.
+  const PointSet base = GenerateQuantized(Distribution::kAnticorrelated, 600,
+                                          3, 6, Quantizer(4));
+  PointSet ps = base;
+  for (size_t i = 0; i < 40; ++i) ps.AppendFrom(base, i);
+  PointSet outside(3);
+  outside.Append({15, 15, 15});
+  outside.Append({12, 12, 12});
+  outside.Append({8, 9, 10});
+  for (bool block : {true, false}) {
+    ZBTree::Options options;
+    options.leaf_capacity = 4;
+    options.fanout = 3;
+    options.block_leaf_scan = block;
+    ZBTree tree(&codec, ps, options);
+    const size_t n = tree.size();
+    auto check = [&](std::span<const Coord> p, size_t slot_end) {
+      size_t brute = 0;
+      for (size_t j = 0; j < std::min(slot_end, n); ++j) {
+        if (tree.alive(j) && Dominates(tree.point(j), p)) ++brute;
+      }
+      EXPECT_EQ(tree.ExistsDominatorOf(p, slot_end), brute > 0)
+          << "block=" << block << " end=" << slot_end;
+      for (size_t cap : {size_t{1}, size_t{2}, size_t{3}, n}) {
+        EXPECT_EQ(tree.CountDominatorsOf(p, cap, slot_end),
+                  std::min(cap, brute))
+            << "block=" << block << " end=" << slot_end << " cap=" << cap;
+      }
+    };
+    auto check_all = [&] {
+      for (size_t slot = 0; slot < n; slot += 7) {
+        for (size_t slot_end :
+             {size_t{0}, slot / 2 + 1, slot, slot + 1, n / 2 + 1, n}) {
+          check(tree.point(slot), slot_end);
+        }
+      }
+      for (size_t i = 0; i < outside.size(); ++i) {
+        for (size_t slot_end = 0; slot_end <= n; ++slot_end) {
+          check(outside[i], slot_end);
+        }
+      }
+    };
+    check_all();
+    // A strict dominator always sits in an earlier slot.
+    for (size_t slot = 0; slot < n; ++slot) {
+      EXPECT_EQ(tree.CountDominatorsOf(tree.point(slot), n, slot),
+                tree.CountDominatorsOf(tree.point(slot), n));
+    }
+    // Tombstones: every entry dominated by (3, 3, 3), then by (1, 6, 2).
+    PointSet killers(3);
+    killers.Append({3, 3, 3});
+    killers.Append({1, 6, 2});
+    for (size_t i = 0; i < killers.size(); ++i) {
+      ASSERT_GT(tree.RemoveDominatedBy(killers[i]), 0u);
+      check_all();
+    }
+  }
+}
+
 TEST(ZBTreeTest, CustomIds) {
   ZOrderCodec codec(2, kBits);
   PointSet ps(2);

@@ -71,7 +71,7 @@ TEST(PlannerTest, HighDimPicksZSearch) {
   base.bits = kBits;
   const PlanDecision decision = PlanQuery(points, base);
   EXPECT_EQ(decision.options.local, LocalAlgorithm::kZSearch);
-  EXPECT_EQ(decision.options.merge, MergeAlgorithm::kZMerge);
+  EXPECT_EQ(decision.options.merge, MergeAlgorithm::kPrefixProbe);
 }
 
 TEST(PlannerTest, ExtremeDimDisablesSzbFilter) {
@@ -134,7 +134,7 @@ TEST(ChoosePlanTest, AnticorrelatedHighDimPicksZSearch) {
   base.bits = kBits;
   const PlanChoice choice = ChoosePlan(points, base);
   EXPECT_EQ(choice.options.local, LocalAlgorithm::kZSearch);
-  EXPECT_EQ(choice.options.merge, MergeAlgorithm::kZMerge);
+  EXPECT_EQ(choice.options.merge, MergeAlgorithm::kPrefixProbe);
   EXPECT_GT(choice.estimated_skyline_fraction, 0.10);
 }
 

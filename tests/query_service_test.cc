@@ -74,7 +74,7 @@ TEST(QueryServiceTest, PipelineOverridesReuseThePlan) {
   EXPECT_EQ(service.Query().skyline, oracle);
   for (MergeAlgorithm merge :
        {MergeAlgorithm::kSortBased, MergeAlgorithm::kZSearch,
-        MergeAlgorithm::kZMerge, MergeAlgorithm::kParallelZMerge}) {
+        MergeAlgorithm::kZMerge, MergeAlgorithm::kPrefixProbe}) {
     QueryRequest request;
     request.merge = merge;
     const SkylineQueryResult result = service.Query(request);
@@ -183,7 +183,7 @@ TEST(QueryServiceTest, ConcurrentStressProducesIdenticalSkylines) {
   constexpr int kQueriesPerThread = 4;
   const MergeAlgorithm merges[] = {
       MergeAlgorithm::kZMerge, MergeAlgorithm::kSortBased,
-      MergeAlgorithm::kZSearch, MergeAlgorithm::kParallelZMerge};
+      MergeAlgorithm::kZSearch, MergeAlgorithm::kPrefixProbe};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);

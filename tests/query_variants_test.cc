@@ -141,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
       // paper centers on (full scheme x local coverage above runs Z-merge).
       for (MergeAlgorithm merge :
            {MergeAlgorithm::kSortBased, MergeAlgorithm::kZSearch,
-            MergeAlgorithm::kParallelZMerge}) {
+            MergeAlgorithm::kPrefixProbe}) {
         cases.push_back({PartitioningScheme::kZdg, LocalAlgorithm::kZSearch,
                          merge});
       }

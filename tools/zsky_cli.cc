@@ -5,7 +5,7 @@
 //                  [--seed S] [--out file.csv|file.zsc]
 //   zsky_cli convert --in file.csv --out file.zsc [--max col1,col3]
 //   zsky_cli query --in file.csv|file.zsc [--scheme grid|angle|quadtree|
-//                  naive-z|zhg|zdg] [--local sb|zs] [--merge sb|zs|zm]
+//                  naive-z|zhg|zdg] [--local sb|zs] [--merge sb|zs|zm|pp]
 //                  [--groups M] [--max col1,col3] [--topk K]
 //                  [--rank count|sum] [--lo a,b,...] [--hi a,b,...]
 //                  [--dims c0,c2] [--flip c1] [--k K] [--budget BYTES]
@@ -54,7 +54,7 @@ using namespace zsky;
                "  zsky_cli convert --in FILE.csv|.zpt --out FILE.zsc"
                " [--max c0,c2,...]\n"
                "  zsky_cli query --in FILE[.zsc] [--scheme zdg] [--local zs]"
-               " [--merge zm]\n"
+               " [--merge pp]\n"
                "                 [--groups M] [--max c0,c2,...]"
                " [--topk K] [--rank count|sum]\n"
                "                 [--lo a,b,...] [--hi a,b,...]"
@@ -66,14 +66,14 @@ using namespace zsky;
                " [--metrics]\n"
                "  zsky_cli insert --in FILE[.zsc]"
                " --points \"a,b,...;c,d,...\"|--add FILE\n"
-               "                 [--scheme zdg] [--local zs] [--merge zm]"
+               "                 [--scheme zdg] [--local zs] [--merge pp]"
                " [--groups M] [--merge-after]\n"
                "  zsky_cli delete --in FILE[.zsc] --ids 1,2,3,...\n"
-               "                 [--scheme zdg] [--local zs] [--merge zm]"
+               "                 [--scheme zdg] [--local zs] [--merge pp]"
                " [--groups M] [--merge-after]\n"
                "  zsky_cli serve --in FILE[.zsc] [--repeat N]"
                " [--concurrency C] [--mutate-mix PCT]\n"
-               "                 [--scheme zdg] [--local zs] [--merge zm]"
+               "                 [--scheme zdg] [--local zs] [--merge pp]"
                " [--groups M] [--json]\n"
                "                 [--lo a,b,...] [--hi a,b,...]"
                " [--dims c0,c2,...] [--flip c1,...] [--k K]\n"
@@ -233,8 +233,10 @@ ExecutorOptions StrategyFromFlags(
   } else {
     Usage("unknown --local");
   }
-  const std::string merge = Flag(flags, "merge", "zm");
-  if (merge == "sb") {
+  const std::string merge = Flag(flags, "merge", "pp");
+  if (merge == "pp") {
+    options.merge = MergeAlgorithm::kPrefixProbe;
+  } else if (merge == "sb") {
     options.merge = MergeAlgorithm::kSortBased;
   } else if (merge == "zs") {
     options.merge = MergeAlgorithm::kZSearch;
