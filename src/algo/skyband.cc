@@ -1,8 +1,5 @@
 #include "algo/skyband.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/dominance.h"
 
 namespace zsky {
@@ -19,46 +16,6 @@ SkylineIndices NaiveSkyband(const PointSet& points, uint32_t k) {
     if (dominators < k) result.push_back(static_cast<uint32_t>(i));
   }
   return result;
-}
-
-SkylineIndices ZOrderSkyband(const ZOrderCodec& codec, const PointSet& points,
-                             uint32_t k) {
-  ZSKY_CHECK(k >= 1);
-  ZSKY_CHECK(points.dim() == codec.dim());
-  const size_t n = points.size();
-  const std::vector<ZAddress> addresses = codec.EncodeAll(points);
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return addresses[a] < addresses[b];
-  });
-
-  // In z-order, a dominator always precedes its dominated point, so each
-  // point only needs its dominator count against earlier band members.
-  // Points already at k dominators are dropped and never tested against
-  // (a dropped point's dominators also dominate whatever it dominates, so
-  // counts against the kept band are exact: if q (dropped, >= k
-  // dominators) dominates p, then each of q's k dominators dominates p
-  // transitively and at least k of them are in the band or themselves
-  // dominated by band members — induction bottoms out at skyline points,
-  // which are always kept).
-  //
-  // Correctness note: dropping q can only *undercount* p's dominators if
-  // fewer than k kept points dominate p; but q's own >= k dominators all
-  // dominate p and precede q in z-order. Applying the argument recursively
-  // (each dropped dominator is replaced by its own k dominators, and
-  // z-order is a well-order) yields >= k *kept* dominators of p.
-  SkylineIndices band;
-  for (uint32_t idx : order) {
-    const auto p = points[idx];
-    uint32_t dominators = 0;
-    for (size_t b = 0; b < band.size() && dominators < k; ++b) {
-      if (Dominates(points[band[b]], p)) ++dominators;
-    }
-    if (dominators < k) band.push_back(idx);
-  }
-  SortSkyline(band);
-  return band;
 }
 
 }  // namespace zsky

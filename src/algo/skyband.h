@@ -3,7 +3,6 @@
 
 #include "algo/skyline.h"
 #include "common/point_set.h"
-#include "zorder/zorder_codec.h"
 
 namespace zsky {
 
@@ -13,15 +12,10 @@ namespace zsky {
 // for preference queries that need more than |skyline| answers).
 //
 // Reference implementation: O(n^2) dominance counting with early exit at
-// count k. For tests and small inputs.
+// count k. For tests and small inputs. The fast Z-order skyband,
+// ZOrderSkyband, runs on the ZB-tree and lives with Z-search
+// (index/zsearch.h).
 SkylineIndices NaiveSkyband(const PointSet& points, uint32_t k);
-
-// Z-order-accelerated skyband: sorts by Z-address so that all potential
-// dominators of a point precede it (Z-order is monotone w.r.t dominance),
-// then counts dominators only among z-predecessors, pruning points whose
-// count reaches k. Exact, typically far fewer tests than the naive scan.
-SkylineIndices ZOrderSkyband(const ZOrderCodec& codec, const PointSet& points,
-                             uint32_t k);
 
 }  // namespace zsky
 

@@ -10,15 +10,21 @@ namespace simd {
 
 namespace {
 
-constexpr KernelTable kScalarTable = {AnyDominatesScalar,
-                                      CountDominatorsScalar,
-                                      MarkDominatedByScalar,
-                                      MaskAnyDominatedScalar};
-constexpr KernelTable kSse42Table = {AnyDominatesSse42, CountDominatorsSse42,
-                                     MarkDominatedBySse42,
-                                     MaskAnyDominatedSse42};
-constexpr KernelTable kAvx2Table = {AnyDominatesAvx2, CountDominatorsAvx2,
-                                    MarkDominatedByAvx2, MaskAnyDominatedAvx2};
+constexpr KernelTable kScalarTable = {
+    AnyDominatesScalar,     CountDominatorsScalar,
+    MarkDominatedByScalar,  MaskAnyDominatedScalar,
+    NodeTestScalar,         TreeAnyDominatesScalar,
+    TreeCountDominatorsScalar};
+constexpr KernelTable kSse42Table = {
+    AnyDominatesSse42,     CountDominatorsSse42,
+    MarkDominatedBySse42,  MaskAnyDominatedSse42,
+    NodeTestSse42,         TreeAnyDominatesSse42,
+    TreeCountDominatorsSse42};
+constexpr KernelTable kAvx2Table = {
+    AnyDominatesAvx2,     CountDominatorsAvx2,
+    MarkDominatedByAvx2,  MaskAnyDominatedAvx2,
+    NodeTestAvx2,         TreeAnyDominatesAvx2,
+    TreeCountDominatorsAvx2};
 
 }  // namespace
 

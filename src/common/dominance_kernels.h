@@ -6,13 +6,14 @@
 #include "common/cpu.h"
 #include "common/point_set.h"
 
-// Per-ISA implementations of the three block dominance primitives and the
-// function-pointer table the public SoA* wrappers (dominance_block.h)
-// dispatch through. Each ISA lives in its own translation unit so the
-// vector variants can be compiled with -msse4.2 / -mavx2 without those
-// flags leaking into the rest of the build:
+// Per-ISA implementations of the block dominance primitives, the ZB-tree
+// node test and probe walks, and the function-pointer table the public
+// SoA* wrappers (dominance_block.h) and ZBTree dispatch through. Each ISA
+// lives in its own translation unit so the vector variants can be compiled
+// with -msse4.2 / -mavx2 without those flags leaking into the rest of the
+// build:
 //
-//   dominance_kernels_scalar.cc  portable C++ (the PR-1 tile kernels)
+//   dominance_kernels_scalar.cc  portable C++ tile kernels
 //   dominance_kernels_sse42.cc   128-bit __m128i kernels
 //   dominance_kernels_avx2.cc    256-bit __m256i kernels
 //
@@ -83,11 +84,71 @@ using MaskAnyDominatedFn = size_t (*)(const Coord* base, size_t stride,
 inline constexpr size_t kMaskTilePoints = 8;
 inline constexpr size_t kMaskTilesPerSuper = 8;
 
+// --- ZB-tree node bounds (index/zbtree.h). ---
+//
+// A node's bounds are one row of 2 * lanes coordinates: the min corner in
+// [0, lanes), the max corner in [lanes, 2 * lanes). `lanes` is the
+// dimensionality rounded up to kBoundsLaneWidth (one AVX2 vector). Padding
+// lanes hold 0 in both corners and in the padded probe, so they pass every
+// test below without changing its answer.
+inline constexpr uint32_t kBoundsLaneWidth = 8;
+
+inline constexpr uint32_t BoundsLanes(uint32_t dim) {
+  return (dim + kBoundsLaneWidth - 1) / kBoundsLaneWidth * kBoundsLaneWidth;
+}
+
+// Result bits of the node test of probe p against a bounds row.
+// kNodeMayHoldDominator: min <= p in every lane, so the node may hold a
+// dominator of p (when clear, it holds none). kNodeAllDominate: max
+// strictly dominates p, so every entry of the node does.
+inline constexpr uint32_t kNodeMayHoldDominator = 1;
+inline constexpr uint32_t kNodeAllDominate = 2;
+
+using NodeTestFn = uint32_t (*)(const Coord* bounds, uint32_t lanes,
+                                const Coord* p);
+
+// A ZB-tree's layout as the probe walks read it. All nodes live in one
+// array of bounds rows and one of alive counts, level by level, root level
+// first: node i of level l is row level_offset[l] + i. Level 0 holds the
+// leaves; node i of level l covers slots [i * span_l, (i + 1) * span_l)
+// with span_l = leaf_capacity * fanout^l, and its children are nodes
+// [i * fanout, (i + 1) * fanout) of level l - 1. The entries live in a
+// column-major mirror (lane k of slot s at soa[k * soa_stride + s]) whose
+// dead slots are poisoned to the all-max coordinate, which never strictly
+// dominates.
+struct BoundsTreeView {
+  const Coord* bounds;
+  const uint32_t* alive;
+  const uint32_t* level_offset;
+  const Coord* soa;
+  size_t soa_stride;
+  size_t size;       // Entries (slots).
+  size_t root_span;  // Slots per node of the root level.
+  uint32_t height;   // Levels; the root level is height - 1.
+  uint32_t dim;
+  uint32_t lanes;
+  uint32_t fanout;
+};
+
+// Probe walks over a BoundsTreeView, restricted to slots [0, slot_end).
+// `p` is the probe padded to `lanes` coordinates with zeros. The caller
+// guarantees height > 0 (and cap > 0 for the count). Each walk inlines
+// its tier's node test, so a probe dispatches once, not once per node.
+using TreeAnyDominatesFn = bool (*)(const BoundsTreeView& tree,
+                                    const Coord* p, size_t slot_end);
+// Counting stops at `cap`; the result is min(cap, dominators).
+using TreeCountDominatorsFn = size_t (*)(const BoundsTreeView& tree,
+                                         const Coord* p, size_t cap,
+                                         size_t slot_end);
+
 struct KernelTable {
   AnyDominatesFn any_dominates;
   CountDominatorsFn count_dominators;
   MarkDominatedByFn mark_dominated_by;
   MaskAnyDominatedFn mask_any_dominated;
+  NodeTestFn node_test;
+  TreeAnyDominatesFn tree_any_dominates;
+  TreeCountDominatorsFn tree_count_dominators;
 };
 
 // The table for one tier (for tests/benches that pin a tier in-process).
@@ -114,6 +175,11 @@ size_t MaskAnyDominatedScalar(const Coord* base, size_t stride, uint32_t dim,
                               size_t filt_stride, size_t filt_size,
                               const MaskFilterPruning* pruning,
                               uint8_t* out);
+uint32_t NodeTestScalar(const Coord* bounds, uint32_t lanes, const Coord* p);
+bool TreeAnyDominatesScalar(const BoundsTreeView& tree, const Coord* p,
+                            size_t slot_end);
+size_t TreeCountDominatorsScalar(const BoundsTreeView& tree, const Coord* p,
+                                 size_t cap, size_t slot_end);
 
 bool AnyDominatesSse42(const Coord* base, size_t stride, uint32_t dim,
                        size_t begin, size_t end, const Coord* p);
@@ -127,6 +193,11 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
                              size_t filt_stride, size_t filt_size,
                              const MaskFilterPruning* pruning,
                              uint8_t* out);
+uint32_t NodeTestSse42(const Coord* bounds, uint32_t lanes, const Coord* p);
+bool TreeAnyDominatesSse42(const BoundsTreeView& tree, const Coord* p,
+                           size_t slot_end);
+size_t TreeCountDominatorsSse42(const BoundsTreeView& tree, const Coord* p,
+                                size_t cap, size_t slot_end);
 
 bool AnyDominatesAvx2(const Coord* base, size_t stride, uint32_t dim,
                       size_t begin, size_t end, const Coord* p);
@@ -140,6 +211,11 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
                             size_t filt_stride, size_t filt_size,
                             const MaskFilterPruning* pruning,
                             uint8_t* out);
+uint32_t NodeTestAvx2(const Coord* bounds, uint32_t lanes, const Coord* p);
+bool TreeAnyDominatesAvx2(const BoundsTreeView& tree, const Coord* p,
+                          size_t slot_end);
+size_t TreeCountDominatorsAvx2(const BoundsTreeView& tree, const Coord* p,
+                               size_t cap, size_t slot_end);
 
 }  // namespace zsky::simd
 

@@ -8,6 +8,8 @@
 
 #if defined(__AVX2__)
 
+#include "common/bounds_tree_walk.h"
+
 #include <immintrin.h>
 
 #include <algorithm>
@@ -225,6 +227,60 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+uint32_t NodeTestAvx2(const Coord* bounds, uint32_t lanes, const Coord* p) {
+  // Unsigned a <= b  <=>  min(a, b) == a: no sign flip needed.
+  const __m256i ones = _mm256_set1_epi32(-1);
+  __m256i leq = ones;
+  __m256i eq = ones;
+  for (uint32_t k = 0; k < lanes; k += 8) {
+    const __m256i vp =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + k));
+    const __m256i vmin =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bounds + k));
+    if (!_mm256_testc_si256(
+            _mm256_cmpeq_epi32(_mm256_min_epu32(vmin, vp), vmin), ones)) {
+      return 0;
+    }
+    const __m256i vmax = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(bounds + lanes + k));
+    leq = _mm256_and_si256(
+        leq, _mm256_cmpeq_epi32(_mm256_min_epu32(vmax, vp), vmax));
+    eq = _mm256_and_si256(eq, _mm256_cmpeq_epi32(vmax, vp));
+  }
+  const bool all = _mm256_testc_si256(leq, ones) &&
+                   !_mm256_testc_si256(eq, ones);
+  return kNodeMayHoldDominator | (all ? kNodeAllDominate : 0u);
+}
+
+namespace {
+
+struct Avx2Tier {
+  static uint32_t NodeTest(const Coord* bounds, uint32_t lanes,
+                           const Coord* p) {
+    return NodeTestAvx2(bounds, lanes, p);
+  }
+  static bool LeafAny(const Coord* base, size_t stride, uint32_t dim,
+                      size_t begin, size_t end, const Coord* p) {
+    return AnyDominatesAvx2(base, stride, dim, begin, end, p);
+  }
+  static size_t LeafCount(const Coord* base, size_t stride, uint32_t dim,
+                          size_t begin, size_t end, const Coord* p) {
+    return CountDominatorsAvx2(base, stride, dim, begin, end, p);
+  }
+};
+
+}  // namespace
+
+bool TreeAnyDominatesAvx2(const BoundsTreeView& tree, const Coord* p,
+                          size_t slot_end) {
+  return BoundsTreeWalk<Avx2Tier>(tree, p, slot_end).Any();
+}
+
+size_t TreeCountDominatorsAvx2(const BoundsTreeView& tree, const Coord* p,
+                               size_t cap, size_t slot_end) {
+  return BoundsTreeWalk<Avx2Tier>(tree, p, slot_end).Count(cap);
+}
+
 }  // namespace zsky::simd
 
 #else  // !defined(__AVX2__)
@@ -253,6 +309,20 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
                             const MaskFilterPruning* pruning, uint8_t* out) {
   return MaskAnyDominatedScalar(base, stride, dim, begin, end, filt,
                                 filt_stride, filt_size, pruning, out);
+}
+
+uint32_t NodeTestAvx2(const Coord* bounds, uint32_t lanes, const Coord* p) {
+  return NodeTestScalar(bounds, lanes, p);
+}
+
+bool TreeAnyDominatesAvx2(const BoundsTreeView& tree, const Coord* p,
+                          size_t slot_end) {
+  return TreeAnyDominatesScalar(tree, p, slot_end);
+}
+
+size_t TreeCountDominatorsAvx2(const BoundsTreeView& tree, const Coord* p,
+                               size_t cap, size_t slot_end) {
+  return TreeCountDominatorsScalar(tree, p, cap, slot_end);
 }
 
 }  // namespace zsky::simd

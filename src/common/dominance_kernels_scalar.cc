@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/bounds_tree_walk.h"
 #include "common/dominance_block.h"
 #include "common/dominance_kernels.h"
 
@@ -156,6 +157,49 @@ size_t MaskAnyDominatedScalar(const Coord* base, size_t stride, uint32_t dim,
     count += static_cast<size_t>(dom);
   }
   return count;
+}
+
+uint32_t NodeTestScalar(const Coord* bounds, uint32_t lanes, const Coord* p) {
+  const Coord* max = bounds + lanes;
+  bool may = true;
+  bool leq = true;
+  bool lt = false;
+  for (uint32_t k = 0; k < lanes; ++k) {
+    may &= bounds[k] <= p[k];
+    leq &= max[k] <= p[k];
+    lt |= max[k] < p[k];
+  }
+  if (!may) return 0;
+  return kNodeMayHoldDominator | (leq && lt ? kNodeAllDominate : 0u);
+}
+
+namespace {
+
+struct ScalarTier {
+  static uint32_t NodeTest(const Coord* bounds, uint32_t lanes,
+                           const Coord* p) {
+    return NodeTestScalar(bounds, lanes, p);
+  }
+  static bool LeafAny(const Coord* base, size_t stride, uint32_t dim,
+                      size_t begin, size_t end, const Coord* p) {
+    return AnyDominatesScalar(base, stride, dim, begin, end, p);
+  }
+  static size_t LeafCount(const Coord* base, size_t stride, uint32_t dim,
+                          size_t begin, size_t end, const Coord* p) {
+    return CountDominatorsScalar(base, stride, dim, begin, end, p);
+  }
+};
+
+}  // namespace
+
+bool TreeAnyDominatesScalar(const BoundsTreeView& tree, const Coord* p,
+                            size_t slot_end) {
+  return BoundsTreeWalk<ScalarTier>(tree, p, slot_end).Any();
+}
+
+size_t TreeCountDominatorsScalar(const BoundsTreeView& tree, const Coord* p,
+                                 size_t cap, size_t slot_end) {
+  return BoundsTreeWalk<ScalarTier>(tree, p, slot_end).Count(cap);
 }
 
 }  // namespace zsky::simd

@@ -7,6 +7,8 @@
 
 #if defined(__SSE4_2__)
 
+#include "common/bounds_tree_walk.h"
+
 #include <smmintrin.h>
 
 #include <algorithm>
@@ -221,6 +223,58 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+uint32_t NodeTestSse42(const Coord* bounds, uint32_t lanes,
+                       const Coord* p) {
+  // Unsigned a <= b  <=>  min(a, b) == a (SSE4.1 pminud).
+  const __m128i ones = _mm_set1_epi32(-1);
+  __m128i leq = ones;
+  __m128i eq = ones;
+  for (uint32_t k = 0; k < lanes; k += 4) {
+    const __m128i vp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + k));
+    const __m128i vmin =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bounds + k));
+    if (!_mm_testc_si128(_mm_cmpeq_epi32(_mm_min_epu32(vmin, vp), vmin),
+                         ones)) {
+      return 0;
+    }
+    const __m128i vmax =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bounds + lanes + k));
+    leq = _mm_and_si128(leq, _mm_cmpeq_epi32(_mm_min_epu32(vmax, vp), vmax));
+    eq = _mm_and_si128(eq, _mm_cmpeq_epi32(vmax, vp));
+  }
+  const bool all = _mm_testc_si128(leq, ones) && !_mm_testc_si128(eq, ones);
+  return kNodeMayHoldDominator | (all ? kNodeAllDominate : 0u);
+}
+
+namespace {
+
+struct Sse42Tier {
+  static uint32_t NodeTest(const Coord* bounds, uint32_t lanes,
+                           const Coord* p) {
+    return NodeTestSse42(bounds, lanes, p);
+  }
+  static bool LeafAny(const Coord* base, size_t stride, uint32_t dim,
+                      size_t begin, size_t end, const Coord* p) {
+    return AnyDominatesSse42(base, stride, dim, begin, end, p);
+  }
+  static size_t LeafCount(const Coord* base, size_t stride, uint32_t dim,
+                          size_t begin, size_t end, const Coord* p) {
+    return CountDominatorsSse42(base, stride, dim, begin, end, p);
+  }
+};
+
+}  // namespace
+
+bool TreeAnyDominatesSse42(const BoundsTreeView& tree, const Coord* p,
+                           size_t slot_end) {
+  return BoundsTreeWalk<Sse42Tier>(tree, p, slot_end).Any();
+}
+
+size_t TreeCountDominatorsSse42(const BoundsTreeView& tree, const Coord* p,
+                                size_t cap, size_t slot_end) {
+  return BoundsTreeWalk<Sse42Tier>(tree, p, slot_end).Count(cap);
+}
+
 }  // namespace zsky::simd
 
 #else  // !defined(__SSE4_2__)
@@ -249,6 +303,21 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
                              const MaskFilterPruning* pruning, uint8_t* out) {
   return MaskAnyDominatedScalar(base, stride, dim, begin, end, filt,
                                 filt_stride, filt_size, pruning, out);
+}
+
+uint32_t NodeTestSse42(const Coord* bounds, uint32_t lanes,
+                       const Coord* p) {
+  return NodeTestScalar(bounds, lanes, p);
+}
+
+bool TreeAnyDominatesSse42(const BoundsTreeView& tree, const Coord* p,
+                           size_t slot_end) {
+  return TreeAnyDominatesScalar(tree, p, slot_end);
+}
+
+size_t TreeCountDominatorsSse42(const BoundsTreeView& tree, const Coord* p,
+                                size_t cap, size_t slot_end) {
+  return TreeCountDominatorsScalar(tree, p, cap, slot_end);
 }
 
 }  // namespace zsky::simd

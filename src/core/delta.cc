@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "algo/skyband.h"
 #include "algo/sort_based.h"
 #include "algo/subspace.h"
 #include "common/dominance.h"
+#include "index/zsearch.h"
 #include "zorder/zorder_codec.h"
 
 namespace zsky {

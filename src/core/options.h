@@ -84,8 +84,9 @@ struct ExecutorOptions {
   // Reducers pull their shuffle slices concurrently on the pool. Off =
   // single-threaded shuffle.
   bool parallel_shuffle = true;
-  // Structure-of-arrays block dominance kernel in the local skylines and
-  // the ZB-tree leaf scans. Off = per-pair scalar Dominates().
+  // Structure-of-arrays block dominance kernel in the sort-based and BNL
+  // skylines. Off = per-pair scalar Dominates(). (ZB-tree leaves always
+  // scan their SoA mirror.)
   bool use_block_kernel = true;
   // Run job 1's sample-skyline filter through a DominanceBlock over the
   // sample skyline (the SIMD kernel scans it lane-wise, with a ZB-tree

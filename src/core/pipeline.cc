@@ -807,16 +807,16 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   SkylineIndices final_skyline;
 
   // Candidate-side working set per candidate. The prefix probe holds one
-  // tree over all candidates: the gathered rows, the tree's point copy,
-  // its SoA mirror, Z-words and id. A reducer-side merge holds its
-  // gathered points and the merge trees over them (~2 point copies and a
-  // row id).
+  // tree over all candidates: the gathered rows, then the tree's point
+  // copy, SoA mirror, Z-words, id, alive flag and share of the node
+  // bounds. A reducer-side merge holds its gathered points and the merge
+  // trees over them (~2 point copies and a row id).
   const size_t point_bytes = static_cast<size_t>(dim) * sizeof(Coord);
   const size_t cand_row_bytes =
-      prefix_probe
-          ? (plan.tree_options.block_leaf_scan ? 3 : 2) * point_bytes +
-                codec.num_words() * sizeof(uint64_t) + sizeof(uint32_t)
-          : 2 * point_bytes + sizeof(uint32_t);
+      prefix_probe ? point_bytes + ZBTree::BytesPerEntry(
+                                       codec.dim(), codec.num_words(),
+                                       plan.tree_options)
+                   : 2 * point_bytes + sizeof(uint32_t);
 
   // Prefix probe: gather every candidate into query space once and
   // bulk-load one tree; its slots are the candidates in Z-order. The

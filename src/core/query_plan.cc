@@ -4,13 +4,13 @@
 #include <memory>
 #include <utility>
 
-#include "algo/skyband.h"
 #include "algo/sort_based.h"
 #include "algo/subspace.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/metrics_registry.h"
+#include "index/zsearch.h"
 #include "partition/angle_partitioner.h"
 #include "partition/quadtree_partitioner.h"
 #include "partition/random_partitioner.h"
@@ -205,7 +205,6 @@ PreparedPlan PreparePlan(const DatasetView& points,
   const uint32_t dim = points.dim();
   plan.codec = std::make_shared<const ZOrderCodec>(dim, options.bits);
   plan.tree_options = options.tree;
-  plan.tree_options.block_leaf_scan = options.use_block_kernel;
   plan.sample = PointSet(dim);
   plan.sample_skyline = PointSet(dim);
   SeedIdentityVariant(plan);

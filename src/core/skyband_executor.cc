@@ -7,10 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "algo/skyband.h"
 #include "common/stopwatch.h"
 #include "core/query_plan.h"
 #include "index/zbtree.h"
+#include "index/zsearch.h"
 #include "mapreduce/job.h"
 
 namespace zsky {

@@ -12,7 +12,7 @@ namespace zsky {
 
 // Incrementally maintained skyline over a stream of insertions — the
 // online counterpart of the batch pipeline, built on the same
-// DynamicSkyline index that backs Z-search and Z-merge.
+// DynamicSkyline index that backs the pairwise Z-merge.
 //
 // Per insertion: one dominance query (reject if dominated), then an
 // eviction pass removing members the new point dominates. Both are

@@ -73,10 +73,14 @@ std::optional<RZRegion> DynamicSkyline::BoundingRegion() const {
   }
   for (const auto& tree : trees_) {
     if (tree->alive_count() == 0) continue;
+    const auto lo = tree->min_corner(tree->root());
+    const auto hi = tree->max_corner(tree->root());
     if (!region) {
-      region = tree->region(tree->root());
+      region.emplace(std::vector<Coord>(lo.begin(), lo.end()),
+                     std::vector<Coord>(hi.begin(), hi.end()));
     } else {
-      region->ExtendToCover(tree->region(tree->root()));
+      region->ExtendToCover(lo);
+      region->ExtendToCover(hi);
     }
   }
   return region;

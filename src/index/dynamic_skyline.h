@@ -14,7 +14,10 @@ namespace zsky {
 
 // A growable skyline container backed by a logarithmic collection of
 // ZB-trees (plus a small insertion buffer), in the spirit of Z-search's
-// incrementally maintained skyline ZB-tree.
+// incrementally maintained skyline ZB-tree. Where points only arrive in
+// Z-order and are never removed (Z-search, the k-way Z-merge), an
+// append-mode ZBTree is simpler and faster; this container serves
+// removals and out-of-order appends.
 //
 // Supports the three operations skyline algorithms need:
 //   - ExistsDominatorOf(p): is p dominated by the current set?

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/dominance.h"
+
 namespace zsky {
 
 namespace {
@@ -18,16 +20,18 @@ void AppendSubtree(const ZBTree& src, ZBTree::NodeRef node,
 void Visit(const ZBTree& src, ZBTree::NodeRef node, DynamicSkyline& sky,
            ZMergeStats& stats) {
   if (src.alive_in(node) == 0) return;
-  const RZRegion& region = src.region(node);
+  const auto lo = src.min_corner(node);
+  const auto hi = src.max_corner(node);
 
-  if (sky.ExistsDominatorOf(region.min_corner())) {
+  if (sky.ExistsDominatorOf(lo)) {
     ++stats.subtrees_discarded;
     return;
   }
   // Whole-skyline incomparability shortcut: nothing in this subtree can
   // dominate or be dominated by anything currently in the skyline.
   if (auto bound = sky.BoundingRegion();
-      bound.has_value() && region.IncomparableWith(*bound)) {
+      bound.has_value() && !DominatesOrEqual(lo, bound->max_corner()) &&
+      !DominatesOrEqual(bound->min_corner(), hi)) {
     ++stats.subtrees_appended;
     AppendSubtree(src, node, sky);
     return;
@@ -45,7 +49,9 @@ void Visit(const ZBTree& src, ZBTree::NodeRef node, DynamicSkyline& sky,
     return;
   }
   auto [cb, ce] = src.child_range(node);
-  for (uint32_t c = cb; c < ce; ++c) Visit(src, {c}, sky, stats);
+  for (uint32_t c = cb; c < ce; ++c) {
+    Visit(src, {node.level - 1, c}, sky, stats);
+  }
 }
 
 }  // namespace
@@ -72,7 +78,9 @@ SkylineIndices ZMergeAll(const ZOrderCodec& codec,
                          const std::vector<const ZBTree*>& trees,
                          const ZBTree::Options& options, ZMergeStats* stats) {
   ZMergeStats local;
-  DynamicSkyline sky(&codec, options);
+  // Candidates leave the streams in non-decreasing Z-order, so the
+  // skyline is an append-mode tree.
+  ZBTree sky(&codec, options);
   SkylineIndices result;
 
   // Per-tree cursor plus, for every entry slot, the subtrees that begin
@@ -80,8 +88,8 @@ SkylineIndices ZMergeAll(const ZOrderCodec& codec,
   struct Stream {
     const ZBTree* tree;
     size_t cursor = 0;
-    // starts[slot]: (subtree end, subtree region), descending by size.
-    std::vector<std::vector<std::pair<size_t, const RZRegion*>>> starts;
+    // starts[slot]: (subtree end, subtree), descending by size.
+    std::vector<std::vector<std::pair<size_t, ZBTree::NodeRef>>> starts;
   };
   std::vector<Stream> streams;
   for (const ZBTree* tree : trees) {
@@ -94,10 +102,10 @@ SkylineIndices ZMergeAll(const ZOrderCodec& codec,
       const ZBTree::NodeRef n = stack.back();
       stack.pop_back();
       const auto [begin, end] = tree->entry_range(n);
-      s.starts[begin].emplace_back(end, &tree->region(n));
+      s.starts[begin].emplace_back(end, n);
       if (!tree->is_leaf(n)) {
         const auto [cb, ce] = tree->child_range(n);
-        for (uint32_t c = cb; c < ce; ++c) stack.push_back({c});
+        for (uint32_t c = cb; c < ce; ++c) stack.push_back({n.level - 1, c});
       }
     }
     for (auto& v : s.starts) {
@@ -122,8 +130,8 @@ SkylineIndices ZMergeAll(const ZOrderCodec& codec,
     // Region-level discard: if a subtree starting here is dominated as a
     // whole, skip it without touching its points.
     bool skipped = false;
-    for (const auto& [end, region] : next->starts[next->cursor]) {
-      if (sky.ExistsDominatorOf(region->min_corner())) {
+    for (const auto& [end, node] : next->starts[next->cursor]) {
+      if (sky.ExistsDominatorOf(next->tree->min_corner(node))) {
         ++local.subtrees_discarded;
         next->cursor = end;
         skipped = true;

@@ -1,5 +1,6 @@
 #include "zorder/zorder_codec.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/cpu.h"
@@ -190,6 +191,59 @@ std::vector<ZAddress> ZOrderCodec::EncodeAll(const PointSet& points) const {
   out.reserve(points.size());
   for (size_t i = 0; i < points.size(); ++i) out.push_back(Encode(points[i]));
   return out;
+}
+
+std::vector<uint32_t> ZOrderPermutation(const ZOrderCodec& codec,
+                                        const PointSet& points,
+                                        std::vector<uint64_t>* sorted_words) {
+  ZSKY_CHECK(points.dim() == codec.dim());
+  const size_t n = points.size();
+  const size_t words = codec.num_words();
+  std::vector<uint64_t> raw(n * words);
+  for (size_t i = 0; i < n; ++i) {
+    codec.EncodeTo(points[i], {raw.data() + i * words, words});
+  }
+  struct Record {
+    uint64_t lead;
+    uint32_t row;
+  };
+  std::vector<Record> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i] = {raw[i * words], static_cast<uint32_t>(i)};
+  }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.lead != b.lead ? a.lead < b.lead : a.row < b.row;
+            });
+  if (words > 1) {
+    // Break leading-word ties on the remaining words.
+    auto tail_less = [&](const Record& a, const Record& b) {
+      const uint64_t* wa = raw.data() + size_t{a.row} * words;
+      const uint64_t* wb = raw.data() + size_t{b.row} * words;
+      for (size_t w = 1; w < words; ++w) {
+        if (wa[w] != wb[w]) return wa[w] < wb[w];
+      }
+      return a.row < b.row;
+    };
+    for (size_t begin = 0; begin < n;) {
+      size_t end = begin + 1;
+      while (end < n && records[end].lead == records[begin].lead) ++end;
+      if (end - begin > 1) {
+        std::sort(records.begin() + begin, records.begin() + end, tail_less);
+      }
+      begin = end;
+    }
+  }
+  std::vector<uint32_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = records[i].row;
+  if (sorted_words != nullptr) {
+    sorted_words->resize(n * words);
+    for (size_t i = 0; i < n; ++i) {
+      std::copy_n(raw.data() + size_t{perm[i]} * words, words,
+                  sorted_words->data() + i * words);
+    }
+  }
+  return perm;
 }
 
 ZAddress ZOrderCodec::MaxAddress() const {

@@ -108,6 +108,14 @@ class ZOrderCodec {
   std::vector<ShuffleStep> compress_steps_;  // pow2 dim only
 };
 
+// The rows of `points` in Z-order, equal addresses by row index. With
+// `sorted_words`, also returns the rows' addresses in that order,
+// codec.num_words() words each. Sorts (leading word, row) records by value
+// and only the runs that tie on the leading word by their full address.
+std::vector<uint32_t> ZOrderPermutation(
+    const ZOrderCodec& codec, const PointSet& points,
+    std::vector<uint64_t>* sorted_words = nullptr);
+
 }  // namespace zsky
 
 #endif  // ZSKY_ZORDER_ZORDER_CODEC_H_

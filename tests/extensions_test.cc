@@ -11,6 +11,7 @@
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
+#include "index/zsearch.h"
 
 namespace zsky {
 namespace {
@@ -79,7 +80,27 @@ TEST_P(SkybandTest, ZOrderMatchesNaive) {
   const Case& c = GetParam();
   const PointSet ps = MakePoints(c.distribution, c.n, c.dim, c.seed);
   ZOrderCodec codec(c.dim, kBits);
-  for (uint32_t k : {1u, 2u, 3u, 8u}) {
+  for (uint32_t k : {1u, 2u, 3u, 5u, 8u}) {
+    EXPECT_EQ(ZOrderSkyband(codec, ps, k), NaiveSkyband(ps, k))
+        << "k=" << k;
+  }
+}
+
+// Heavy duplicates: 2-bit coordinates, and the first 60 rows three times
+// more. Equal points never dominate each other, so a run of equal points
+// shares one dominator count.
+TEST_P(SkybandTest, ZOrderMatchesNaiveWithDuplicates) {
+  const Case& c = GetParam();
+  const PointSet base =
+      GenerateQuantized(c.distribution, c.n, c.dim, c.seed, Quantizer(2));
+  PointSet ps = base;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (size_t i = 0; i < std::min<size_t>(60, base.size()); ++i) {
+      ps.AppendFrom(base, i);
+    }
+  }
+  ZOrderCodec codec(c.dim, 2);
+  for (uint32_t k : {1u, 2u, 3u, 5u}) {
     EXPECT_EQ(ZOrderSkyband(codec, ps, k), NaiveSkyband(ps, k))
         << "k=" << k;
   }
@@ -91,7 +112,9 @@ constexpr Case kSkybandCases[] = {
     {Distribution::kIndependent, 600, 2, 11},
     {Distribution::kIndependent, 600, 4, 12},
     {Distribution::kCorrelated, 600, 3, 13},
-    {Distribution::kAnticorrelated, 500, 5, 14}};
+    {Distribution::kAnticorrelated, 500, 5, 14},
+    {Distribution::kAnticorrelated, 500, 8, 18},
+    {Distribution::kIndependent, 400, 9, 19}};
 
 INSTANTIATE_TEST_SUITE_P(RandomInputs, SkybandTest,
                          ::testing::ValuesIn(kSkybandCases));

@@ -167,6 +167,84 @@ TEST_P(ZBTreeFuzz, InterleavedCountAndRemove) {
   }
 }
 
+// Bulk-built and append-mode trees over the same Z-ordered points, across
+// dims 1, 3, 9, 17 and 65 (above simd::kMaxVectorDim) and two coordinate
+// domains: 8 bits (many equal points) and 32 bits with values on both
+// sides of 2^31. Random probes with random slot bounds and caps, and
+// random tombstones, must match a brute-force reference on both trees.
+TEST_P(ZBTreeFuzz, AppendAndBulkTreesMatchReference) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  static constexpr Coord kHighBits[] = {1u, 0x7FFFFFFFu, 0x80000000u,
+                                        0x80000001u, 0xFFFFFFFEu};
+  for (uint32_t dim : {1u, 3u, 9u, 17u, 65u}) {
+    for (uint32_t bits : {kBits, 32u}) {
+      auto random_point = [&] {
+        std::vector<Coord> p(dim);
+        for (auto& c : p) {
+          c = bits == 32 ? kHighBits[rng.NextBounded(5)]
+                         : static_cast<Coord>(rng.NextBounded(256));
+        }
+        return p;
+      };
+      ZOrderCodec codec(dim, bits);
+      PointSet ps(dim);
+      for (int i = 0; i < 250; ++i) ps.Append(random_point());
+      for (int i = 0; i < 30; ++i) ps.AppendFrom(ps, rng.NextBounded(250));
+      ZBTree::Options options;
+      options.leaf_capacity = static_cast<uint32_t>(1 + rng.NextBounded(16));
+      options.fanout = static_cast<uint32_t>(2 + rng.NextBounded(7));
+      ZBTree bulk(&codec, ps, options);
+      ZBTree appended(&codec, options);
+      for (size_t slot = 0; slot < bulk.size(); ++slot) {
+        appended.Append(bulk.point(slot), bulk.id(slot));
+      }
+      const size_t n = bulk.size();
+      std::vector<uint8_t> alive(n, 1);
+      for (int step = 0; step < 150; ++step) {
+        std::vector<Coord> p = random_point();
+        if (rng.NextBounded(2) == 0) {
+          const auto q = bulk.point(rng.NextBounded(n));
+          p.assign(q.begin(), q.end());
+        }
+        const size_t slot_end = rng.NextBounded(3) == 0
+                                    ? ZBTree::kAllSlots
+                                    : rng.NextBounded(n + 1);
+        const size_t cap = 1 + rng.NextBounded(6);
+        size_t dominators = 0;
+        size_t dominated = 0;
+        for (size_t j = 0; j < n; ++j) {
+          if (!alive[j]) continue;
+          if (j < slot_end && Dominates(bulk.point(j), p)) ++dominators;
+          if (Dominates(p, bulk.point(j))) ++dominated;
+        }
+        for (const ZBTree* t : {&bulk, &appended}) {
+          ASSERT_EQ(t->ExistsDominatorOf(p, slot_end), dominators > 0)
+              << "dim=" << dim << " bits=" << bits << " step " << step;
+          ASSERT_EQ(t->CountDominatorsOf(p, cap, slot_end),
+                    std::min(cap, dominators))
+              << "dim=" << dim << " bits=" << bits << " step " << step;
+        }
+        if (rng.NextBounded(4) == 0) {
+          ASSERT_EQ(bulk.RemoveDominatedBy(p), dominated);
+          ASSERT_EQ(appended.RemoveDominatedBy(p), dominated);
+          for (size_t j = 0; j < n; ++j) {
+            if (alive[j] && Dominates(p, bulk.point(j))) alive[j] = 0;
+          }
+        }
+      }
+      PointSet bulk_points(dim);
+      PointSet append_points(dim);
+      std::vector<uint32_t> bulk_ids;
+      std::vector<uint32_t> append_ids;
+      bulk.CollectAlive(bulk_points, bulk_ids);
+      appended.CollectAlive(append_points, append_ids);
+      EXPECT_EQ(append_ids, bulk_ids);
+      EXPECT_EQ(append_points.raw(), bulk_points.raw());
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ZBTreeFuzz, ::testing::Values(7u, 8u, 9u));
 
 class WindowedFuzz : public ::testing::TestWithParam<uint64_t> {};

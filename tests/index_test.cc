@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "algo/skyline.h"
 #include "algo/sort_based.h"
 #include "common/dominance.h"
 #include "common/quantizer.h"
+#include "common/rng.h"
 #include "gen/synthetic.h"
 #include "index/dynamic_skyline.h"
 #include "index/zbtree.h"
@@ -101,40 +103,93 @@ TEST(ZBTreeTest, RemoveDominatedMatchesBruteForce) {
   EXPECT_EQ(ids, brute_ids);
 }
 
+// Points over a four-value alphabet that straddles 2^31, where a signed
+// lane compare would order them wrongly, for codecs at 32 bits.
+PointSet HighBitPoints(size_t n, uint32_t dim, uint64_t seed) {
+  static constexpr Coord kAlphabet[] = {1u, 0x7FFFFFFFu, 0x80000000u,
+                                        0xFFFFFFFEu};
+  Rng rng(seed);
+  PointSet ps(dim);
+  std::vector<Coord> p(dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (auto& c : p) c = kAlphabet[rng.NextBounded(4)];
+    ps.Append(p);
+  }
+  return ps;
+}
+
+// An append-mode tree fed the slots of `bulk` in order.
+ZBTree AppendCopy(const ZBTree& bulk) {
+  ZBTree tree(&bulk.codec(), bulk.options());
+  for (size_t slot = 0; slot < bulk.size(); ++slot) {
+    tree.Append(bulk.point(slot), bulk.id(slot));
+  }
+  return tree;
+}
+
 // The slot bound restricts both queries to the alive entries in slots
-// [0, slot_end), with and without the block leaf scan, across equal
-// points, tombstones, and the bounds 0 and size(). Bounds that cut
-// leaves and inner nodes are swept exhaustively for points outside the
-// tree.
+// [0, slot_end), across equal points, tombstones, and the bounds 0 and
+// size(), for a bulk-built tree and for an append-mode tree fed the same
+// Z-ordered points. Bounds that cut leaves and inner nodes are swept
+// exhaustively for points outside the tree. Geometries: 3d at 4 bits, and
+// 9d and 17d at 32 bits with coordinates on both sides of 2^31.
 TEST(ZBTreeTest, SlotBoundedQueriesMatchBruteForce) {
-  ZOrderCodec codec(3, 4);
-  // 4-bit coordinates over 600 points: many equal points.
-  const PointSet base = GenerateQuantized(Distribution::kAnticorrelated, 600,
-                                          3, 6, Quantizer(4));
-  PointSet ps = base;
-  for (size_t i = 0; i < 40; ++i) ps.AppendFrom(base, i);
-  PointSet outside(3);
-  outside.Append({15, 15, 15});
-  outside.Append({12, 12, 12});
-  outside.Append({8, 9, 10});
-  for (bool block : {true, false}) {
+  struct Geometry {
+    uint32_t dim;
+    uint32_t bits;
+    size_t n;
+  };
+  for (const Geometry g : {Geometry{3, 4, 600}, Geometry{9, 32, 300},
+                           Geometry{17, 32, 200}}) {
+    ZOrderCodec codec(g.dim, g.bits);
+    // 4-bit coordinates over 600 points: many equal points.
+    const PointSet base =
+        g.bits == 4 ? GenerateQuantized(Distribution::kAnticorrelated, g.n,
+                                        g.dim, 6, Quantizer(4))
+                    : HighBitPoints(g.n, g.dim, g.dim);
+    PointSet ps = base;
+    for (size_t i = 0; i < 40; ++i) ps.AppendFrom(base, i);
+    PointSet outside(g.dim);
+    PointSet killers(g.dim);
+    if (g.bits == 4) {
+      outside.Append({15, 15, 15});
+      outside.Append({12, 12, 12});
+      outside.Append({8, 9, 10});
+      killers.Append({3, 3, 3});
+      killers.Append({1, 6, 2});
+    } else {
+      outside.Append(std::vector<Coord>(g.dim, 0xFFFFFFFFu));
+      outside.Append(std::vector<Coord>(g.dim, 0x80000000u));
+      std::vector<Coord> mixed(g.dim);
+      for (uint32_t k = 0; k < g.dim; ++k) {
+        mixed[k] = k % 2 == 0 ? 0x80000001u : 0xFFFFFFFEu;
+      }
+      outside.Append(mixed);
+      killers.Append(std::vector<Coord>(g.dim, 0x7FFFFFFFu));
+      killers.Append(std::vector<Coord>(g.dim, 1u));
+    }
     ZBTree::Options options;
     options.leaf_capacity = 4;
     options.fanout = 3;
-    options.block_leaf_scan = block;
     ZBTree tree(&codec, ps, options);
+    ZBTree appended = AppendCopy(tree);
+    ASSERT_EQ(appended.height(), tree.height());
     const size_t n = tree.size();
     auto check = [&](std::span<const Coord> p, size_t slot_end) {
       size_t brute = 0;
       for (size_t j = 0; j < std::min(slot_end, n); ++j) {
         if (tree.alive(j) && Dominates(tree.point(j), p)) ++brute;
       }
-      EXPECT_EQ(tree.ExistsDominatorOf(p, slot_end), brute > 0)
-          << "block=" << block << " end=" << slot_end;
-      for (size_t cap : {size_t{1}, size_t{2}, size_t{3}, n}) {
-        EXPECT_EQ(tree.CountDominatorsOf(p, cap, slot_end),
-                  std::min(cap, brute))
-            << "block=" << block << " end=" << slot_end << " cap=" << cap;
+      for (const ZBTree* t : {&tree, &appended}) {
+        const char* mode = t == &tree ? "bulk" : "append";
+        EXPECT_EQ(t->ExistsDominatorOf(p, slot_end), brute > 0)
+            << mode << " dim=" << g.dim << " end=" << slot_end;
+        for (size_t cap : {size_t{1}, size_t{2}, size_t{3}, n}) {
+          EXPECT_EQ(t->CountDominatorsOf(p, cap, slot_end),
+                    std::min(cap, brute))
+              << mode << " dim=" << g.dim << " end=" << slot_end
+              << " cap=" << cap;
+        }
       }
     };
     auto check_all = [&] {
@@ -156,14 +211,20 @@ TEST(ZBTreeTest, SlotBoundedQueriesMatchBruteForce) {
       EXPECT_EQ(tree.CountDominatorsOf(tree.point(slot), n, slot),
                 tree.CountDominatorsOf(tree.point(slot), n));
     }
-    // Tombstones: every entry dominated by (3, 3, 3), then by (1, 6, 2).
-    PointSet killers(3);
-    killers.Append({3, 3, 3});
-    killers.Append({1, 6, 2});
+    // Tombstones: every entry dominated by each killer in turn.
+    size_t removed = 0;
     for (size_t i = 0; i < killers.size(); ++i) {
-      ASSERT_GT(tree.RemoveDominatedBy(killers[i]), 0u);
+      size_t brute = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (tree.alive(j) && Dominates(killers[i], tree.point(j))) ++brute;
+      }
+      EXPECT_EQ(tree.RemoveDominatedBy(killers[i]), brute);
+      EXPECT_EQ(appended.RemoveDominatedBy(killers[i]), brute);
+      EXPECT_EQ(appended.alive_count(), tree.alive_count());
+      removed += brute;
       check_all();
     }
+    EXPECT_GT(removed, 0u) << "dim=" << g.dim;
   }
 }
 
@@ -264,8 +325,22 @@ TEST_P(ZSearchOracleTest, MatchesSortBased) {
   EXPECT_EQ(ZSearchSkyline(codec, ps), SortBasedSkyline(ps));
 }
 
+// The same shapes at bits = 32, with coordinates on both sides of 2^31
+// and many equal points, under small leaves and fanout so the skyline
+// tree grows several levels by appends.
+TEST_P(ZSearchOracleTest, MatchesSortBasedAtHighBits) {
+  const ZCase& c = GetParam();
+  ZOrderCodec codec(c.dim, 32);
+  const PointSet ps = HighBitPoints(c.n, c.dim, c.seed);
+  ZBTree::Options options;
+  options.leaf_capacity = 2;
+  options.fanout = 3;
+  EXPECT_EQ(ZSearchSkyline(codec, ps, options), SortBasedSkyline(ps));
+}
+
 // A static table keeps the padding bytes zero, so the byte dumps gtest
-// prints into the case names do not change from run to run.
+// prints into the case names do not change from run to run. Dims 1, 17
+// and 65 (above simd::kMaxVectorDim) cover the padded bounds lanes.
 constexpr ZCase kZSearchCases[] = {
     {Distribution::kIndependent, 2000, 2, 1},
     {Distribution::kIndependent, 2000, 5, 2},
@@ -274,7 +349,10 @@ constexpr ZCase kZSearchCases[] = {
     {Distribution::kAnticorrelated, 1000, 3, 5},
     {Distribution::kAnticorrelated, 800, 6, 6},
     {Distribution::kIndependent, 1, 4, 7},
-    {Distribution::kIndependent, 63, 2, 8}};
+    {Distribution::kIndependent, 63, 2, 8},
+    {Distribution::kIndependent, 300, 1, 9},
+    {Distribution::kAnticorrelated, 600, 17, 10},
+    {Distribution::kCorrelated, 300, 65, 11}};
 
 INSTANTIATE_TEST_SUITE_P(RandomInputs, ZSearchOracleTest,
                          ::testing::ValuesIn(kZSearchCases));

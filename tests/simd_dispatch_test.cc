@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/cpu.h"
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "core/executor.h"
 #include "gen/synthetic.h"
+#include "index/zbtree.h"
 #include "zorder/zorder_codec.h"
 
 namespace zsky {
@@ -158,6 +160,73 @@ TEST(KernelIsaParityTest, SubrangeScansAgree) {
   }
 }
 
+// The ZB-tree node test on every tier against the scalar tier, and the
+// scalar tier against its definition, over dims 1-17, 64 and 65 (above
+// kMaxVectorDim) with coordinates on both sides of 2^31, where a signed
+// lane compare would flip. Bounds are drawn near the probe so both result
+// bits are often set; padding lanes are 0 in the rows and the probe.
+TEST(KernelIsaParityTest, NodeTestAgreesWithScalar) {
+  static constexpr Coord kAlphabet[] = {0u,          1u,          0x7FFFFFFFu,
+                                        0x80000000u, 0x80000001u, 0xFFFFFFFFu};
+  const auto& scalar = simd::KernelTableFor(Isa::kScalar);
+  Rng rng(4242);
+  std::vector<uint32_t> dims;
+  for (uint32_t dim = 1; dim <= 17; ++dim) dims.push_back(dim);
+  dims.push_back(64);
+  dims.push_back(65);
+  for (uint32_t dim : dims) {
+    const uint32_t lanes = simd::BoundsLanes(dim);
+    ASSERT_EQ(lanes % simd::kBoundsLaneWidth, 0u);
+    ASSERT_GE(lanes, dim);
+    size_t hits[4] = {0, 0, 0, 0};
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<Coord> p(lanes, 0);
+      std::vector<Coord> bounds(2 * lanes, 0);
+      for (uint32_t k = 0; k < dim; ++k) {
+        p[k] = kAlphabet[rng.NextBounded(6)];
+        // Mostly at or below the probe, sometimes anywhere.
+        for (Coord* corner : {&bounds[k], &bounds[lanes + k]}) {
+          const uint64_t pick = rng.NextBounded(8);
+          *corner = pick < 4   ? p[k]
+                    : pick < 7 ? static_cast<Coord>(rng.NextBounded(
+                                     uint64_t{p[k]} + 1))
+                               : kAlphabet[rng.NextBounded(6)];
+        }
+      }
+      bool may = true;
+      bool leq = true;
+      bool lt = false;
+      for (uint32_t k = 0; k < dim; ++k) {
+        may = may && bounds[k] <= p[k];
+        leq = leq && bounds[lanes + k] <= p[k];
+        lt = lt || bounds[lanes + k] < p[k];
+      }
+      const uint32_t want =
+          may ? simd::kNodeMayHoldDominator |
+                    (leq && lt ? simd::kNodeAllDominate : 0u)
+              : 0u;
+      const uint32_t got = scalar.node_test(bounds.data(), lanes, p.data());
+      ASSERT_EQ(got, want) << "scalar dim=" << dim << " trial=" << trial;
+      ++hits[got];
+      for (Isa isa : SupportedIsas()) {
+        EXPECT_EQ(simd::KernelTableFor(isa).node_test(bounds.data(), lanes,
+                                                       p.data()),
+                  want)
+            << IsaName(isa) << " dim=" << dim << " trial=" << trial;
+      }
+    }
+    // Both answers of each question were exercised (at small dims; high
+    // dims rarely have every lane below the probe).
+    if (dim <= 4) {
+      EXPECT_GT(hits[0], 0u) << "dim=" << dim;
+      EXPECT_GT(hits[simd::kNodeMayHoldDominator], 0u) << "dim=" << dim;
+      EXPECT_GT(hits[simd::kNodeMayHoldDominator | simd::kNodeAllDominate],
+                0u)
+          << "dim=" << dim;
+    }
+  }
+}
+
 // Reference Z-order encoder: the seed's bit-by-bit interleave, kept here
 // as the ground truth both fast paths must match.
 ZAddress ReferenceEncode(const ZOrderCodec& codec,
@@ -237,6 +306,56 @@ TEST(CodecIsaParityTest, Bmi2GateFollowsActiveTier) {
     ZOrderCodec codec(8, 16);
     if (isa != Isa::kAvx2 || !HostCpuFeatures().bmi2) {
       EXPECT_FALSE(codec.uses_bmi2()) << IsaName(isa);
+    }
+  }
+}
+
+// ZB-tree probes (the per-tier tree walks) answer identically under every
+// tier, on bulk-built and append-mode trees, against brute force.
+TEST(KernelIsaParityTest, TreeProbesAgreeAcrossTiers) {
+  ScopedIsa guard;
+  for (uint32_t dim : {1u, 3u, 9u, 17u, 65u}) {
+    ZOrderCodec codec(dim, 32);
+    const PointSet wide = RandomCoords(dim, 32, 300, dim * 31 + 1);
+    PointSet narrow(dim);
+    // A narrow alphabet around 2^31 gives dense dominance at every dim.
+    Rng rng(dim);
+    std::vector<Coord> row(dim);
+    for (size_t i = 0; i < 300; ++i) {
+      for (auto& c : row) {
+        c = 0x7FFFFFFEu + static_cast<Coord>(rng.NextBounded(4));
+      }
+      narrow.Append(row);
+    }
+    for (const PointSet* points : {&wide, &std::as_const(narrow)}) {
+      ZBTree::Options options;
+      options.leaf_capacity = 4;
+      options.fanout = 3;
+      ZBTree bulk(&codec, *points, options);
+      ZBTree appended(&codec, options);
+      for (size_t slot = 0; slot < bulk.size(); ++slot) {
+        appended.Append(bulk.point(slot), bulk.id(slot));
+      }
+      const size_t n = bulk.size();
+      for (Isa isa : SupportedIsas()) {
+        SetActiveIsa(isa);
+        for (size_t slot = 0; slot < n; slot += 3) {
+          const auto p = bulk.point(slot);
+          for (size_t slot_end : {slot, n}) {
+            size_t brute = 0;
+            for (size_t j = 0; j < slot_end; ++j) {
+              brute += Dominates(bulk.point(j), p) ? 1 : 0;
+            }
+            for (const ZBTree* t : {&bulk, &appended}) {
+              EXPECT_EQ(t->ExistsDominatorOf(p, slot_end), brute > 0)
+                  << IsaName(isa) << " dim=" << dim << " slot=" << slot;
+              EXPECT_EQ(t->CountDominatorsOf(p, 3, slot_end),
+                        std::min<size_t>(3, brute))
+                  << IsaName(isa) << " dim=" << dim << " slot=" << slot;
+            }
+          }
+        }
+      }
     }
   }
 }
