@@ -5,7 +5,12 @@
 // state-of-the-art centralized algorithm (it is the local algorithm and
 // merge building block of the distributed pipeline), and shows where each
 // classic algorithm's regime ends as size/dimensionality grow.
+//
+// Each cell is the median of 5 runs (3 when a run exceeds 2 s), with the
+// cell's min-max printed beside it: single runs of one binary spread up
+// to ~2x per cell on a shared host.
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -48,6 +53,29 @@ const std::vector<Algorithm>& Algorithms() {
   return algorithms;
 }
 
+// Median and range of one cell's wall times.
+struct CellTime {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+CellTime TimeCell(const Algorithm& algorithm, const ZOrderCodec& codec,
+                  const PointSet& points, size_t* skyline_size) {
+  constexpr double kSlowRunMs = 2000.0;
+  std::vector<double> runs;
+  size_t reps = 5;
+  while (runs.size() < reps) {
+    Stopwatch watch;
+    const SkylineIndices sky = algorithm.run(codec, points);
+    runs.push_back(watch.ElapsedMs());
+    *skyline_size = sky.size();
+    if (runs.back() > kSlowRunMs) reps = 3;
+  }
+  std::sort(runs.begin(), runs.end());
+  return {runs[runs.size() / 2], runs.front(), runs.back()};
+}
+
 void RunSweep(const char* table, const char* axis_name,
               Distribution distribution,
               const std::vector<std::pair<size_t, uint32_t>>& axis) {
@@ -55,7 +83,7 @@ void RunSweep(const char* table, const char* axis_name,
               table, axis_name,
               std::string(DistributionName(distribution)).c_str());
   std::printf("%10s %10s", axis_name, "|skyline|");
-  for (const auto& a : Algorithms()) std::printf(" %10s", a.label);
+  for (const auto& a : Algorithms()) std::printf(" %22s", a.label);
   std::printf("\n");
   std::string csv;
   for (const auto& [n, dim] : axis) {
@@ -63,20 +91,21 @@ void RunSweep(const char* table, const char* axis_name,
     const ZOrderCodec codec(dim, kBits);
     const size_t axis_value =
         std::string_view(axis_name) == "n" ? n : static_cast<size_t>(dim);
-    std::vector<double> times;
+    std::vector<CellTime> times;
     size_t skyline_size = 0;
     for (const auto& a : Algorithms()) {
-      Stopwatch watch;
-      const SkylineIndices sky = a.run(codec, points);
-      times.push_back(watch.ElapsedMs());
-      skyline_size = sky.size();
+      times.push_back(TimeCell(a, codec, points, &skyline_size));
+      const CellTime& t = times.back();
       csv += "# CSV," + std::string(table) + "," +
              std::string(DistributionName(distribution)) + "," + a.label +
              "," + std::to_string(axis_value) + "," +
-             std::to_string(times.back()) + "\n";
+             std::to_string(t.median_ms) + "," + std::to_string(t.min_ms) +
+             "," + std::to_string(t.max_ms) + "\n";
     }
     std::printf("%10zu %10zu", axis_value, skyline_size);
-    for (double t : times) std::printf(" %10.1f", t);
+    for (const CellTime& t : times) {
+      std::printf(" %8.1f (%5.1f-%5.1f)", t.median_ms, t.min_ms, t.max_ms);
+    }
     std::printf("\n");
     std::fflush(stdout);
   }
@@ -91,8 +120,8 @@ int main() {
   using zsky::Distribution;
   PrintBanner("Centralized algorithms (Section 2 context)",
               "BNL vs SB vs D&C vs BBS vs Z-search",
-              "single-threaded wall time; sizes bounded so BNL stays "
-              "runnable");
+              "single-threaded wall time, median (min-max) of 5 runs; "
+              "sizes bounded so BNL stays runnable");
   const std::vector<std::pair<size_t, uint32_t>> sizes{
       {20'000, 5}, {50'000, 5}, {100'000, 5}, {200'000, 5}};
   RunSweep("central-n-indep", "n", Distribution::kIndependent, sizes);

@@ -7,7 +7,6 @@
 #include "algo/skyband.h"
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "core/skyband_executor.h"
 #include "core/streaming.h"
 #include "core/windowed_skyline.h"
 
@@ -60,12 +59,14 @@ void BenchSkyband() {
               "sim-total");
   const PointSet points = MakeData(Distribution::kIndependent, 100'000, 4,
                                    73);
+  ExecutorOptions options;
+  options.num_groups = 16;
+  options.bits = kBits;
+  const ParallelSkylineExecutor executor(options);
   for (uint32_t k : {1u, 2u, 4u, 8u}) {
-    SkybandOptions options;
-    options.k = k;
-    options.num_groups = 16;
-    options.bits = kBits;
-    const auto result = DistributedSkyband(points, options);
+    QueryDesc desc;
+    desc.k = k;
+    const auto result = executor.Execute(points, desc);
     std::printf("%6u %12zu %12zu %12.1f\n", k, result.skyline.size(),
                 result.metrics.candidates, result.metrics.sim_total_ms);
   }

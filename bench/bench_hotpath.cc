@@ -1,20 +1,14 @@
-// Hot-path ablation bench: measures each of the three hot-path mechanisms
-// in isolation (persistent worker pool vs spawn-per-wave threads, block
-// vs scalar dominance kernel, parallel vs serial shuffle) and then the
-// end-to-end pipeline with everything on vs the seed configuration,
-// verifying the skylines are bit-identical. Emits BENCH_hotpath.json for
-// machine consumption next to the usual "# CSV" rows.
+// Hot-path bench: the persistent worker pool against spawn-per-wave
+// threads, then the end-to-end pipeline, its skyline checked against the
+// BNL oracle. Emits BENCH_hotpath.json for machine consumption next to the
+// usual "# CSV" rows; `scripts/check.sh sched` compares bench_sched's
+// end-to-end time with the committed `hotpath_ms`.
 
-#include <algorithm>
 #include <cstdio>
-#include <span>
-#include <string>
-#include <vector>
 
-#include "algo/sort_based.h"
+#include "algo/bnl.h"
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "mapreduce/job.h"
 #include "mapreduce/task_runner.h"
 #include "mapreduce/worker_pool.h"
 
@@ -69,72 +63,14 @@ Pair BenchPool() {
   return result;
 }
 
-// --- 2. Block vs scalar dominance kernel: sort-based skyline window
-// scans, the kernel's densest call site. ---
-Pair BenchKernel(const PointSet& points) {
-  Pair result;
-  SkylineIndices scalar;
-  SkylineIndices block;
-  result.baseline_ms =
-      BestMs([&] { scalar = SortBasedSkyline(points, false); });
-  result.optimized_ms =
-      BestMs([&] { block = SortBasedSkyline(points, true); });
-  if (scalar != block) {
-    std::printf("!! kernel outputs DIVERGED\n");
-    result.optimized_ms = 0.0;
-  }
-  return result;
-}
-
-// --- 3. Shuffle record path: legacy serial vs legacy parallel vs the
-// zero-copy columnar path. 4M records (16 tasks x 250k, 8 reducers, no
-// combiner): big enough that the shuffle stage runs for hundreds of ms —
-// the seed's 960k-record workload finished in ~6 ms, too small to show
-// anything but scheduling noise. ---
-struct ShuffleBench {
-  double legacy_serial_ms = 1e300;
-  double legacy_parallel_ms = 1e300;
-  double zero_copy_ms = 1e300;
+// --- 2. End-to-end Execute, checked against the BNL oracle. ---
+struct EndToEnd {
+  double hotpath_ms = 0.0;
+  bool identical = false;
+  size_t skyline = 0;
 };
 
-ShuffleBench BenchShuffle() {
-  constexpr size_t kTasks = 16;
-  constexpr uint64_t kPerTask = 250000;
-  auto run = [](bool legacy, bool parallel) {
-    mr::MapReduceJob<uint64_t>::Options options;
-    options.num_reduce_tasks = 8;
-    options.num_threads = 4;
-    options.legacy_record_path = legacy;
-    options.parallel_shuffle = parallel;
-    mr::MapReduceJob<uint64_t> job(options);
-    const mr::JobMetrics metrics = job.Run(
-        kTasks,
-        [](size_t task, auto& emit) {
-          for (uint64_t v = 0; v < kPerTask; ++v) {
-            emit(static_cast<int32_t>((task + v) % 64), v);
-          }
-        },
-        nullptr,
-        [](int32_t, std::span<const uint64_t> values) {
-          volatile uint64_t sink = 0;
-          for (uint64_t v : values) sink = sink + v;
-        });
-    // The measured shuffle stage itself, not whole-job time.
-    return metrics.shuffle_wall_ms;
-  };
-  ShuffleBench result;
-  for (int r = 0; r < kReps; ++r) {
-    result.legacy_serial_ms =
-        std::min(result.legacy_serial_ms, run(true, false));
-    result.legacy_parallel_ms =
-        std::min(result.legacy_parallel_ms, run(true, true));
-    result.zero_copy_ms = std::min(result.zero_copy_ms, run(false, true));
-  }
-  return result;
-}
-
-// --- 4. End-to-end Execute: everything on vs the seed configuration. ---
-ExecutorOptions PipelineOptions(bool hot) {
+EndToEnd BenchEndToEnd(const PointSet& points) {
   ExecutorOptions options;
   options.bits = kBits;
   options.partitioning = PartitioningScheme::kZdg;
@@ -143,43 +79,17 @@ ExecutorOptions PipelineOptions(bool hot) {
   options.num_groups = 8;
   options.num_map_tasks = 16;
   options.num_threads = 4;
-  options.reuse_worker_pool = hot;
-  options.parallel_shuffle = hot;
-  options.use_block_kernel = hot;
-  options.zero_copy_shuffle = hot;
-  options.job2_map_tasks = hot ? 0 : 1;  // Seed ran job 2's map as 1 task.
-  return options;
-}
-
-struct EndToEnd {
-  Pair time;
-  bool identical = false;
-  size_t skyline = 0;
-};
-
-EndToEnd BenchEndToEnd(const PointSet& points) {
+  const ParallelSkylineExecutor executor(options);
   EndToEnd result;
-  SkylineIndices seed_skyline;
-  SkylineIndices hot_skyline;
-  {
-    const ParallelSkylineExecutor executor(PipelineOptions(false));
-    result.time.baseline_ms = BestMs([&] {
-      seed_skyline = executor.Execute(points).skyline;
-    });
-  }
-  {
-    const ParallelSkylineExecutor executor(PipelineOptions(true));
-    result.time.optimized_ms = BestMs([&] {
-      hot_skyline = executor.Execute(points).skyline;
-    });
-  }
-  result.identical = seed_skyline == hot_skyline;
-  result.skyline = hot_skyline.size();
+  SkylineIndices skyline;
+  result.hotpath_ms =
+      BestMs([&] { skyline = executor.Execute(points).skyline; });
+  result.identical = skyline == BnlSkyline(points);
+  result.skyline = skyline.size();
   return result;
 }
 
 void WriteJson(const char* path, size_t n, uint32_t dim, const Pair& pool,
-               const Pair& kernel, const ShuffleBench& shuffle,
                const EndToEnd& e2e) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -191,34 +101,14 @@ void WriteJson(const char* path, size_t n, uint32_t dim, const Pair& pool,
                "  \"workload\": {\"n\": %zu, \"dim\": %u, "
                "\"distribution\": \"independent\"},\n",
                n, dim);
-  auto section = [&](const char* name, const char* base_key,
-                     const char* opt_key, const Pair& p, bool last) {
-    std::fprintf(f,
-                 "  \"%s\": {\"%s\": %.3f, \"%s\": %.3f, "
-                 "\"speedup\": %.3f}%s\n",
-                 name, base_key, p.baseline_ms, opt_key, p.optimized_ms,
-                 p.Speedup(), last ? "" : ",");
-  };
-  section("pool", "spawn_per_wave_ms", "worker_pool_ms", pool, false);
-  section("kernel", "scalar_ms", "block_ms", kernel, false);
   std::fprintf(f,
-               "  \"shuffle\": {\"legacy_serial_ms\": %.3f, "
-               "\"legacy_parallel_ms\": %.3f, \"zero_copy_ms\": %.3f, "
-               "\"parallel_speedup\": %.3f, \"zero_copy_speedup\": %.3f},\n",
-               shuffle.legacy_serial_ms, shuffle.legacy_parallel_ms,
-               shuffle.zero_copy_ms,
-               shuffle.legacy_parallel_ms > 0.0
-                   ? shuffle.legacy_serial_ms / shuffle.legacy_parallel_ms
-                   : 0.0,
-               shuffle.zero_copy_ms > 0.0
-                   ? shuffle.legacy_serial_ms / shuffle.zero_copy_ms
-                   : 0.0);
+               "  \"pool\": {\"spawn_per_wave_ms\": %.3f, "
+               "\"worker_pool_ms\": %.3f, \"speedup\": %.3f},\n",
+               pool.baseline_ms, pool.optimized_ms, pool.Speedup());
   std::fprintf(f,
-               "  \"end_to_end\": {\"seed_ms\": %.3f, \"hotpath_ms\": %.3f, "
-               "\"speedup\": %.3f, \"identical\": %s, "
-               "\"skyline_size\": %zu}\n",
-               e2e.time.baseline_ms, e2e.time.optimized_ms,
-               e2e.time.Speedup(), e2e.identical ? "true" : "false",
+               "  \"end_to_end\": {\"hotpath_ms\": %.3f, "
+               "\"identical\": %s, \"skyline_size\": %zu}\n",
+               e2e.hotpath_ms, e2e.identical ? "true" : "false",
                e2e.skyline);
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -228,8 +118,8 @@ void WriteJson(const char* path, size_t n, uint32_t dim, const Pair& pool,
 int Main() {
   constexpr size_t kN = 500000;
   constexpr uint32_t kDim = 8;
-  PrintBanner("hotpath", "persistent pool / block kernel / parallel shuffle",
-              "500k x 8d end-to-end plus per-mechanism ablations");
+  PrintBanner("hotpath", "persistent pool / end-to-end pipeline",
+              "500k x 8d end-to-end plus the pool ablation");
 
   const PointSet points = MakeData(Distribution::kIndependent, kN, kDim, 42);
 
@@ -239,47 +129,16 @@ int Main() {
   std::printf("%-28s %9.1fms %9.1fms %7.2fx\n", "pool (300 waves x 16 tasks)",
               pool.baseline_ms, pool.optimized_ms, pool.Speedup());
 
-  const Pair kernel = BenchKernel(points);
-  std::printf("%-28s %9.1fms %9.1fms %7.2fx\n", "kernel (sort-based 500kx8d)",
-              kernel.baseline_ms, kernel.optimized_ms, kernel.Speedup());
-
-  const ShuffleBench shuffle = BenchShuffle();
-  std::printf("%-28s %9.1fms %9.1fms %7.2fx\n", "shuffle par (4M recs, 8 red)",
-              shuffle.legacy_serial_ms, shuffle.legacy_parallel_ms,
-              shuffle.legacy_parallel_ms > 0.0
-                  ? shuffle.legacy_serial_ms / shuffle.legacy_parallel_ms
-                  : 0.0);
-  std::printf("%-28s %9.1fms %9.1fms %7.2fx\n", "shuffle zero-copy",
-              shuffle.legacy_serial_ms, shuffle.zero_copy_ms,
-              shuffle.zero_copy_ms > 0.0
-                  ? shuffle.legacy_serial_ms / shuffle.zero_copy_ms
-                  : 0.0);
-
   const EndToEnd e2e = BenchEndToEnd(points);
-  std::printf("%-28s %9.1fms %9.1fms %7.2fx  identical=%s\n",
-              "end-to-end Execute", e2e.time.baseline_ms,
-              e2e.time.optimized_ms, e2e.time.Speedup(),
-              e2e.identical ? "yes" : "NO");
+  std::printf("%-28s %21.1fms  matches BNL=%s\n", "end-to-end Execute",
+              e2e.hotpath_ms, e2e.identical ? "yes" : "NO");
 
   std::printf("# CSV,mechanism,baseline_ms,optimized_ms,speedup\n");
   std::printf("# CSV,pool,%.3f,%.3f,%.3f\n", pool.baseline_ms,
               pool.optimized_ms, pool.Speedup());
-  std::printf("# CSV,kernel,%.3f,%.3f,%.3f\n", kernel.baseline_ms,
-              kernel.optimized_ms, kernel.Speedup());
-  std::printf("# CSV,shuffle_parallel,%.3f,%.3f,%.3f\n",
-              shuffle.legacy_serial_ms, shuffle.legacy_parallel_ms,
-              shuffle.legacy_parallel_ms > 0.0
-                  ? shuffle.legacy_serial_ms / shuffle.legacy_parallel_ms
-                  : 0.0);
-  std::printf("# CSV,shuffle_zero_copy,%.3f,%.3f,%.3f\n",
-              shuffle.legacy_serial_ms, shuffle.zero_copy_ms,
-              shuffle.zero_copy_ms > 0.0
-                  ? shuffle.legacy_serial_ms / shuffle.zero_copy_ms
-                  : 0.0);
-  std::printf("# CSV,end_to_end,%.3f,%.3f,%.3f\n", e2e.time.baseline_ms,
-              e2e.time.optimized_ms, e2e.time.Speedup());
+  std::printf("# CSV,end_to_end,,%.3f,\n", e2e.hotpath_ms);
 
-  WriteJson("BENCH_hotpath.json", kN, kDim, pool, kernel, shuffle, e2e);
+  WriteJson("BENCH_hotpath.json", kN, kDim, pool, e2e);
   return e2e.identical ? 0 : 1;
 }
 

@@ -93,15 +93,6 @@ void BM_ZBTreeExistsDominator(benchmark::State& state) {
 }
 BENCHMARK(BM_ZBTreeExistsDominator)->Arg(10000)->Arg(100000);
 
-SkylineIndices BnlScalar(const PointSet& ps) { return BnlSkyline(ps, false); }
-SkylineIndices BnlBlock(const PointSet& ps) { return BnlSkyline(ps, true); }
-SkylineIndices SortBasedScalar(const PointSet& ps) {
-  return SortBasedSkyline(ps, false);
-}
-SkylineIndices SortBasedBlock(const PointSet& ps) {
-  return SortBasedSkyline(ps, true);
-}
-
 template <SkylineIndices (*Algo)(const PointSet&)>
 void BM_CentralizedSkyline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -112,16 +103,10 @@ void BM_CentralizedSkyline(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_TEMPLATE(BM_CentralizedSkyline, BnlScalar)
+BENCHMARK_TEMPLATE(BM_CentralizedSkyline, BnlSkyline)
     ->Args({10000, 5})
     ->Args({50000, 5});
-BENCHMARK_TEMPLATE(BM_CentralizedSkyline, BnlBlock)
-    ->Args({10000, 5})
-    ->Args({50000, 5});
-BENCHMARK_TEMPLATE(BM_CentralizedSkyline, SortBasedScalar)
-    ->Args({10000, 5})
-    ->Args({50000, 5});
-BENCHMARK_TEMPLATE(BM_CentralizedSkyline, SortBasedBlock)
+BENCHMARK_TEMPLATE(BM_CentralizedSkyline, SortBasedSkyline)
     ->Args({10000, 5})
     ->Args({50000, 5});
 

@@ -6,8 +6,7 @@
 // bounded warm run is capped by the budget knob + a small fixed allowance
 // + the MEASURED candidate-side peak (common/scan_counters.h) — NOT by
 // the dataset size, and (3) the columnar-direct map wave (SoA mask
-// kernel, zero transpose) beats the RowBlockCursor ablation on the same
-// warm bounded workload. A cold lane (--cold runs only it) evicts the
+// kernel) transposes zero bytes. A cold lane (--cold runs only it) evicts the
 // page cache (posix_fadvise(DONTNEED) via DropPageCache) and contrasts
 // async readahead on vs off. Emits BENCH_outofcore.json;
 // `scripts/check.sh outofcore` gates outofcore_points_per_sec and
@@ -165,18 +164,13 @@ bool ParityControl(const std::string& dir, size_t* skyline) {
       ParallelSkylineExecutor(options).Execute(points).skyline;
   const SkylineIndices direct =
       ParallelSkylineExecutor(options).Execute(mapped->view()).skyline;
-  ExecutorOptions cursor = options;
-  cursor.columnar_direct = false;
-  const SkylineIndices transposed =
-      ParallelSkylineExecutor(cursor).Execute(mapped->view()).skyline;
   std::remove(path.c_str());
   *skyline = heap.size();
-  return heap == direct && direct == transposed;
+  return heap == direct;
 }
 
 struct Lane {
   size_t budget_mb = 0;
-  bool columnar_direct = true;
   bool readahead = true;
   bool cold = false;  // Evict the page cache before the run.
 };
@@ -195,7 +189,6 @@ struct RunResult {
 RunResult RunOnce(const ColumnarDataset& dataset, const Lane& lane,
                   RssSampler& sampler) {
   ExecutorOptions options = PipelineOptions(lane.budget_mb, dataset.size());
-  options.columnar_direct = lane.columnar_direct;
   options.readahead = lane.readahead;
   if (lane.cold) dataset.DropPageCache();
   sampler.Reset();
@@ -258,7 +251,7 @@ int Main(int argc, char** argv) {
 
   size_t parity_skyline = 0;
   const bool parity_ok = ParityControl(dir, &parity_skyline);
-  std::printf("parity 500k x 8d (heap = direct = cursor): %s (skyline %zu)\n",
+  std::printf("parity 500k x 8d (heap = direct): %s (skyline %zu)\n",
               parity_ok ? "identical" : "DIVERGED", parity_skyline);
   if (!parity_ok) return 1;
 
@@ -349,14 +342,13 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  // --- Warm bounded lanes, while the page cache still holds the file
-  // the convert just wrote. Direct (SoA mask wave, zero transpose) vs
-  // cursor (RowBlockCursor transpose) is the tentpole's headline. The
-  // allocator is trimmed of the cold lanes' scratch so the measured
-  // baseline is this process's true floor.
+  // --- Warm bounded lane, while the page cache still holds the file the
+  // convert just wrote: the SoA mask wave, zero transpose. The allocator
+  // is trimmed of the cold lanes' scratch so the measured baseline is
+  // this process's true floor.
   ::malloc_trim(0);
   const double bounded_base_rss_mb = CurrentRssMb();
-  RunResult bounded, cursor_run;
+  RunResult bounded;
   {
     ColumnarDataset::Options bounded_opts;
     bounded_opts.bounded_residency = true;
@@ -369,8 +361,6 @@ int Main(int argc, char** argv) {
     Lane lane;
     lane.budget_mb = budget_mb;
     bounded = RunOnce(*bounded_ds, lane, sampler);
-    lane.columnar_direct = false;
-    cursor_run = RunOnce(*bounded_ds, lane, sampler);
   }
 
   // Unbounded mapping: the contrast run. The scan faults the whole file
@@ -390,11 +380,10 @@ int Main(int argc, char** argv) {
 
   if (!keep) std::remove(file.c_str());
 
-  if (bounded.skyline != unbounded.skyline ||
-      bounded.skyline != cursor_run.skyline) {
-    std::printf("!! warm lane skyline sizes diverged: direct %zu, cursor "
-                "%zu, unbounded %zu\n",
-                bounded.skyline, cursor_run.skyline, unbounded.skyline);
+  if (bounded.skyline != unbounded.skyline) {
+    std::printf("!! warm lane skyline sizes diverged: bounded %zu, "
+                "unbounded %zu\n",
+                bounded.skyline, unbounded.skyline);
     return 1;
   }
   if (bounded.transpose_bytes != 0) {
@@ -404,13 +393,7 @@ int Main(int argc, char** argv) {
   }
 
   row("mmap unbounded", unbounded);
-  row("mmap bounded cursor", cursor_run);
   row("mmap bounded direct", bounded);
-  const double direct_speedup = cursor_run.wall_ms / bounded.wall_ms;
-  std::printf("columnar-direct speedup: %.2fx (cursor transposed %.0f MB, "
-              "direct 0 MB)\n",
-              direct_speedup,
-              static_cast<double>(cursor_run.transpose_bytes) / 1048576.0);
 
   // The hard ceiling: the budget knob, a small fixed allowance for the
   // pipeline's own heap (plan sample + partitioner, scan blocks, spill
@@ -443,8 +426,6 @@ int Main(int argc, char** argv) {
   std::printf("# CSV,run,wall_ms,points_per_sec,peak_rss_mb\n");
   std::printf("# CSV,unbounded,%.1f,%.0f,%.1f\n", unbounded.wall_ms,
               pps(unbounded), unbounded.peak_rss_mb);
-  std::printf("# CSV,bounded_cursor,%.1f,%.0f,%.1f\n", cursor_run.wall_ms,
-              pps(cursor_run), cursor_run.peak_rss_mb);
   std::printf("# CSV,bounded_direct,%.1f,%.0f,%.1f\n", bounded.wall_ms,
               pps(bounded), bounded.peak_rss_mb);
   std::printf("# CSV,cold_readahead,%.1f,%.0f,%.1f\n", cold_ra.wall_ms,
@@ -467,8 +448,6 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "  \"convert_mpoints_per_sec\": %.2f,\n",
                mpts / convert_s);
   std::fprintf(f, "  \"outofcore_points_per_sec\": %.0f,\n", pps(bounded));
-  std::fprintf(f, "  \"cursor_points_per_sec\": %.0f,\n", pps(cursor_run));
-  std::fprintf(f, "  \"direct_speedup\": %.2f,\n", direct_speedup);
   std::fprintf(f, "  \"transpose_bytes_direct\": %zu,\n",
                bounded.transpose_bytes);
   std::fprintf(f, "  \"cold_points_per_sec\": %.0f,\n", pps(cold_ra));

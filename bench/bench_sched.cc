@@ -117,9 +117,6 @@ ExecutorOptions HotOptions(bool morsels) {
   options.num_map_tasks = 16;
   options.num_threads = 4;
   options.reuse_worker_pool = true;
-  options.parallel_shuffle = true;
-  options.use_block_kernel = true;
-  options.zero_copy_shuffle = true;
   options.morsel_scheduling = morsels;
   return options;
 }

@@ -1,11 +1,10 @@
-// Shuffle throughput bench (PR 5): drives the MapReduce engine's record
-// path — legacy (std::function emit, vector-of-pairs buckets,
-// unordered_map regroup) vs zero-copy columnar (chunked arenas, counting
-// sort, span reduce) — through a shuffle-heavy job and reports records/sec,
-// bytes copied, bytes allocated, and peak RSS; then the disk spill, a
-// memory-budget sweep, and the end-to-end 500k x 8d pipeline with a
-// bit-identical skyline check. Emits BENCH_shuffle.json; `scripts/check.sh
-// shuffle` gates on zero_copy_records_per_sec against the committed copy.
+// Shuffle throughput bench: drives the MapReduce engine's zero-copy
+// columnar record path (chunked arenas, counting sort, span reduce)
+// through a shuffle-heavy job and reports records/sec, bytes copied, bytes
+// allocated, and peak RSS; then the disk spill, a memory-budget sweep, and
+// an end-to-end 500k x 8d skyline-by-MapReduce checked against the BNL
+// oracle. Emits BENCH_shuffle.json; `scripts/check.sh shuffle` gates on
+// zero_copy_records_per_sec against the committed copy.
 
 #include <sys/resource.h>
 
@@ -50,17 +49,17 @@ struct PathResult {
   }
 };
 
+// Every task emits 0 .. kPerTask-1 once, so the reduce sum is known.
+constexpr uint64_t kExpectedSum = kTasks * (kPerTask * (kPerTask - 1) / 2);
+
 // One shuffle-heavy job: trivial map emit and reduce sum, so the wall
-// time is the record path itself. `reuse` keeps one job across reps to
-// measure the steady (pooled) state of the columnar path; the legacy
-// path has no cross-run state, so reuse is a no-op for it.
-PathResult RunPath(bool legacy, bool spill, size_t budget_bytes) {
+// time is the record path itself. One job is kept across reps to measure
+// the steady (pooled) state of the record path.
+PathResult RunPath(bool spill) {
   mr::MapReduceJob<uint64_t>::Options options;
   options.num_reduce_tasks = kReducers;
   options.num_threads = 4;
-  options.legacy_record_path = legacy;
   options.spill_to_disk = spill;
-  options.shuffle_memory_budget_bytes = budget_bytes;
   mr::MapReduceJob<uint64_t> job(options);
   PathResult result;
   for (int r = 0; r < kReps; ++r) {
@@ -135,8 +134,7 @@ BudgetPoint RunBudget(size_t budget_mb) {
 // reducers compute local skylines, a final merge yields the global
 // skyline — so the record path carries the real 36-byte payload volume.
 // Correlated data keeps the skyline compute small; what remains is the
-// record pipeline under test. Output is checked bit-identical between
-// both paths and against the BNL oracle.
+// record pipeline under test. Output is checked against the BNL oracle.
 struct PointRec {
   uint32_t row;
   Coord coords[8];
@@ -153,24 +151,18 @@ bool Dominates8(const Coord* a, const Coord* b) {
 }
 
 struct EndToEnd {
-  double legacy_ms = 0.0;
-  double zero_copy_ms = 0.0;
+  double zero_copy_ms = 1e300;
   bool identical = false;
   size_t skyline = 0;
-
-  double Speedup() const {
-    return zero_copy_ms > 0.0 ? legacy_ms / zero_copy_ms : 0.0;
-  }
 };
 
-std::vector<uint32_t> SkylineByMapReduce(const PointSet& points, bool legacy,
+std::vector<uint32_t> SkylineByMapReduce(const PointSet& points,
                                          double* best_ms) {
   constexpr size_t kMapTasks = 16;
   constexpr uint32_t kGroups = 8;
   mr::MapReduceJob<PointRec>::Options options;
   options.num_reduce_tasks = kGroups;
   options.num_threads = 4;
-  options.legacy_record_path = legacy;
   mr::MapReduceJob<PointRec> job(options);
   const size_t n = points.size();
   std::vector<uint32_t> rows;
@@ -234,21 +226,16 @@ std::vector<uint32_t> SkylineByMapReduce(const PointSet& points, bool legacy,
 
 EndToEnd BenchEndToEnd(const PointSet& points) {
   EndToEnd result;
-  result.legacy_ms = 1e300;
-  result.zero_copy_ms = 1e300;
-  const std::vector<uint32_t> legacy =
-      SkylineByMapReduce(points, true, &result.legacy_ms);
   const std::vector<uint32_t> zero_copy =
-      SkylineByMapReduce(points, false, &result.zero_copy_ms);
+      SkylineByMapReduce(points, &result.zero_copy_ms);
   SkylineIndices oracle = BnlSkyline(points);
   std::sort(oracle.begin(), oracle.end());
-  result.identical = legacy == zero_copy && zero_copy == oracle;
+  result.identical = zero_copy == oracle;
   result.skyline = zero_copy.size();
   return result;
 }
 
-void WriteJson(const char* path, const PathResult& legacy,
-               const PathResult& zero_copy, const PathResult& legacy_spill,
+void WriteJson(const char* path, const PathResult& zero_copy,
                const PathResult& zero_copy_spill,
                const std::vector<BudgetPoint>& sweep, double peak_rss_mb,
                const EndToEnd& e2e) {
@@ -263,23 +250,15 @@ void WriteJson(const char* path, const PathResult& legacy,
                "\"reducers\": %u, \"value_bytes\": 8},\n",
                kRecords, kTasks, kReducers);
   // One key per line: scripts/check.sh greps these with awk.
-  std::fprintf(f, "  \"legacy_records_per_sec\": %.0f,\n",
-               legacy.RecordsPerSec());
   std::fprintf(f, "  \"zero_copy_records_per_sec\": %.0f,\n",
                zero_copy.RecordsPerSec());
-  std::fprintf(f, "  \"records_per_sec_speedup\": %.3f,\n",
-               legacy.total_ms > 0.0 && zero_copy.total_ms > 0.0
-                   ? legacy.total_ms / zero_copy.total_ms
-                   : 0.0);
   auto section = [&](const char* name, const PathResult& p) {
     std::fprintf(f,
                  "  \"%s\": {\"total_ms\": %.3f, \"shuffle_ms\": %.3f, "
                  "\"copy_bytes\": %zu, \"alloc_bytes\": %zu},\n",
                  name, p.total_ms, p.shuffle_ms, p.copy_bytes, p.alloc_bytes);
   };
-  section("legacy", legacy);
   section("zero_copy", zero_copy);
-  section("legacy_spill", legacy_spill);
   section("zero_copy_spill", zero_copy_spill);
   std::fprintf(f, "  \"budget_sweep_mb\": [");
   for (size_t i = 0; i < sweep.size(); ++i) {
@@ -299,22 +278,20 @@ void WriteJson(const char* path, const PathResult& legacy,
                "  \"end_to_end\": {\"job\": \"skyline_by_mapreduce\", "
                "\"n\": 500000, \"dim\": 8, "
                "\"distribution\": \"correlated\", "
-               "\"legacy_ms\": %.3f, \"zero_copy_ms\": %.3f, "
-               "\"speedup\": %.3f, \"identical\": %s, "
+               "\"zero_copy_ms\": %.3f, \"identical\": %s, "
                "\"skyline_size\": %zu}\n",
-               e2e.legacy_ms, e2e.zero_copy_ms, e2e.Speedup(),
-               e2e.identical ? "true" : "false", e2e.skyline);
+               e2e.zero_copy_ms, e2e.identical ? "true" : "false",
+               e2e.skyline);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
 
 int Main() {
-  PrintBanner("shuffle", "zero-copy columnar record path vs legacy",
+  PrintBanner("shuffle", "zero-copy columnar record path",
               "8M records through map/shuffle/reduce; 500k x 8d end-to-end");
 
-  const PathResult legacy = RunPath(true, false, 0);
-  const PathResult zero_copy = RunPath(false, false, 0);
+  const PathResult zero_copy = RunPath(false);
   std::printf("%-24s %10s %10s %14s %12s\n", "path", "total", "shuffle",
               "records/sec", "copied");
   auto row = [](const char* name, const PathResult& p) {
@@ -322,19 +299,12 @@ int Main() {
                 p.shuffle_ms, p.RecordsPerSec() / 1e6,
                 static_cast<double>(p.copy_bytes) / 1048576.0);
   };
-  row("legacy", legacy);
   row("zero-copy", zero_copy);
-  if (legacy.checksum != zero_copy.checksum) {
-    std::printf("!! record-path checksums DIVERGED\n");
-    return 1;
-  }
-
-  const PathResult legacy_spill = RunPath(true, true, 0);
-  const PathResult zero_copy_spill = RunPath(false, true, 0);
-  row("legacy+spill", legacy_spill);
+  const PathResult zero_copy_spill = RunPath(true);
   row("zero-copy+spill", zero_copy_spill);
-  if (legacy_spill.checksum != zero_copy_spill.checksum) {
-    std::printf("!! spill checksums DIVERGED\n");
+  if (zero_copy.checksum != kExpectedSum ||
+      zero_copy_spill.checksum != kExpectedSum) {
+    std::printf("!! record-path checksums DIVERGED\n");
     return 1;
   }
 
@@ -352,26 +322,21 @@ int Main() {
 
   const PointSet points = MakeData(Distribution::kCorrelated, 500000, 8, 42);
   const EndToEnd e2e = BenchEndToEnd(points);
-  std::printf("%-24s %8.1fms %8.1fms %7.2fx  identical=%s\n",
-              "e2e skyline-by-MR 500kx8d", e2e.legacy_ms, e2e.zero_copy_ms,
-              e2e.Speedup(), e2e.identical ? "yes" : "NO");
+  std::printf("%-24s %8.1fms  identical=%s\n", "e2e skyline-by-MR 500kx8d",
+              e2e.zero_copy_ms, e2e.identical ? "yes" : "NO");
 
   const double peak_rss_mb = PeakRssMb();
   std::printf("peak RSS: %.1f MB\n", peak_rss_mb);
 
   std::printf("# CSV,path,total_ms,shuffle_ms,records_per_sec\n");
-  std::printf("# CSV,legacy,%.3f,%.3f,%.0f\n", legacy.total_ms,
-              legacy.shuffle_ms, legacy.RecordsPerSec());
   std::printf("# CSV,zero_copy,%.3f,%.3f,%.0f\n", zero_copy.total_ms,
               zero_copy.shuffle_ms, zero_copy.RecordsPerSec());
-  std::printf("# CSV,legacy_spill,%.3f,%.3f,%.0f\n", legacy_spill.total_ms,
-              legacy_spill.shuffle_ms, legacy_spill.RecordsPerSec());
   std::printf("# CSV,zero_copy_spill,%.3f,%.3f,%.0f\n",
               zero_copy_spill.total_ms, zero_copy_spill.shuffle_ms,
               zero_copy_spill.RecordsPerSec());
 
-  WriteJson("BENCH_shuffle.json", legacy, zero_copy, legacy_spill,
-            zero_copy_spill, sweep, peak_rss_mb, e2e);
+  WriteJson("BENCH_shuffle.json", zero_copy, zero_copy_spill, sweep,
+            peak_rss_mb, e2e);
   return e2e.identical ? 0 : 1;
 }
 

@@ -183,8 +183,7 @@ CodecTimes BenchCodec(const PointSet& points) {
   return result;
 }
 
-// --- 3. End-to-end: scalar tier + per-point SZB tree walk (the PR-1
-// configuration) vs the best tier + batched block filter. ---
+// --- 3. End-to-end: the scalar tier vs the best tier. ---
 struct EndToEnd {
   double scalar_ms = 0.0;
   double simd_ms = 0.0;
@@ -193,7 +192,7 @@ struct EndToEnd {
   double Speedup() const { return simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0; }
 };
 
-ExecutorOptions PipelineOptions(bool simd) {
+ExecutorOptions PipelineOptions() {
   ExecutorOptions options;
   options.bits = kBits;
   options.partitioning = PartitioningScheme::kZdg;
@@ -202,7 +201,6 @@ ExecutorOptions PipelineOptions(bool simd) {
   options.num_groups = 8;
   options.num_map_tasks = 16;
   options.num_threads = 4;
-  options.batch_szb_filter = simd;
   return options;
 }
 
@@ -212,13 +210,13 @@ EndToEnd BenchEndToEnd(const PointSet& points, Isa best) {
   SkylineIndices simd_skyline;
   {
     SetActiveIsa(Isa::kScalar);
-    const ParallelSkylineExecutor executor(PipelineOptions(false));
+    const ParallelSkylineExecutor executor(PipelineOptions());
     result.scalar_ms =
         BestMs([&] { scalar_skyline = executor.Execute(points).skyline; });
   }
   {
     SetActiveIsa(best);
-    const ParallelSkylineExecutor executor(PipelineOptions(true));
+    const ParallelSkylineExecutor executor(PipelineOptions());
     result.simd_ms =
         BestMs([&] { simd_skyline = executor.Execute(points).skyline; });
   }

@@ -62,10 +62,10 @@ int main() {
               "(all minimized)\n\n",
               offers.size());
 
-  // 1. Plain skyline via the planned pipeline.
+  // 1. Plain skyline via the cost-based planned pipeline.
   ExecutorOptions base;
   base.bits = quantizer.bits();
-  const PlanDecision plan = PlanQuery(offers, base);
+  const PlanChoice plan = ChoosePlan(offers, base);
   std::printf("planner: %s (estimated skyline fraction %.1f%%)\n",
               plan.rationale.c_str(),
               100.0 * plan.estimated_skyline_fraction);
@@ -93,10 +93,10 @@ int main() {
               subspace.size());
 
   // 4. 3-skyband, ranked, top 5.
-  SkybandOptions band_options;
-  band_options.k = 3;
-  band_options.bits = quantizer.bits();
-  const SkylineQueryResult band = DistributedSkyband(offers, band_options);
+  QueryDesc band_desc;
+  band_desc.k = 3;
+  const SkylineQueryResult band =
+      ParallelSkylineExecutor(base).Execute(offers, band_desc);
   const auto top =
       TopKSkyline(offers, band.skyline, 5, SkylineRank::kScoreSum);
   std::printf("4. 3-skyband: %zu offers; top 5 by score:\n",

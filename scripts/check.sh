@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Full local check: Release + Debug builds, tests in both, then the bench
-# suite in Release. Mirrors what CI would run.
+# suite in Release (the `benches` lane). Mirrors what CI would run.
+#
+# `scripts/check.sh benches` builds in Release and runs every
+# build/bench/bench_* to the end from inside build/ (benches write their
+# BENCH_*.json there, never over the committed baselines), stopping at the
+# first bench that exits non-zero and naming it.
 #
 # `scripts/check.sh tsan` instead builds with -fsanitize=thread and runs
 # the concurrency-sensitive tests (worker pool / MapReduce engine /
@@ -26,11 +31,12 @@
 # >=2x straggler-skew reduction — and fails if the scheduled end-to-end
 # time regresses >10% over the committed BENCH_hotpath.json baseline.
 #
-# `scripts/check.sh shuffle` runs the zero-copy shuffle parity matrix
-# (columnar vs legacy record path x spill modes x combiner x retries)
-# under BOTH AddressSanitizer and ThreadSanitizer, then benchmarks the
-# record path in Release and fails on a >10% records/sec regression
-# against the committed BENCH_shuffle.json baseline.
+# `scripts/check.sh shuffle` runs the engine's serial-reference matrix
+# and the pipeline shuffle parity matrix (spill modes x combiner x
+# retries, against the BNL oracle) under BOTH AddressSanitizer and
+# ThreadSanitizer, then benchmarks the record path in Release and fails
+# on a >10% records/sec regression against the committed
+# BENCH_shuffle.json baseline.
 #
 # `scripts/check.sh queries` exercises the QueryDesc variant surface
 # (constrained / subspace / k-skyband, docs/queries.md): the full
@@ -68,6 +74,23 @@
 # baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = "benches" ]; then
+  echo "=== Benchmarks (Release): every bench to the end ==="
+  cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j "$(nproc)"
+  for b in build/bench/bench_*; do
+    [ -x "$b" ] || continue
+    name="$(basename "$b")"
+    echo "--- $name ---"
+    if ! (cd build && "./bench/$name"); then
+      echo "FAIL: $name exited non-zero"
+      exit 1
+    fi
+  done
+  echo "BENCHES PASSED"
+  exit 0
+fi
 
 if [ "${1:-}" = "simd" ]; then
   echo "=== SIMD dispatch: tests under every supported ISA tier ==="
@@ -401,11 +424,6 @@ cmake -B build-debug -G Ninja -DCMAKE_BUILD_TYPE=Debug \
 cmake --build build-debug
 ctest --test-dir build-debug --output-on-failure
 
-echo "=== Benchmarks (Release) ==="
-for b in build/bench/bench_*; do
-  [ -x "$b" ] || continue
-  echo "--- $b ---"
-  "$b"
-done
+bash scripts/check.sh benches
 
 echo "ALL CHECKS PASSED"

@@ -2,45 +2,16 @@
 
 #include <algorithm>
 
-#include "common/dominance.h"
 #include "common/dominance_block.h"
 
 namespace zsky {
 
-namespace {
-
-SkylineIndices BnlSkylineScalar(const PointSet& points) {
-  // Window of candidate skyline indices. With unbounded memory (our case)
-  // BNL needs a single pass.
-  SkylineIndices window;
-  const size_t n = points.size();
-  for (size_t i = 0; i < n; ++i) {
-    const auto p = points[i];
-    bool dominated = false;
-    size_t kept = 0;
-    for (size_t w = 0; w < window.size(); ++w) {
-      const auto q = points[window[w]];
-      if (Dominates(q, p)) {
-        dominated = true;
-        // Keep the remaining window entries untouched.
-        for (size_t r = w; r < window.size(); ++r) window[kept++] = window[r];
-        break;
-      }
-      if (!Dominates(p, q)) window[kept++] = window[w];
-      // Entries dominated by p are dropped (not copied to `kept`).
-    }
-    window.resize(kept);
-    if (!dominated) window.push_back(static_cast<uint32_t>(i));
-  }
-  SortSkyline(window);
-  return window;
-}
-
-SkylineIndices BnlSkylineBlock(const PointSet& points) {
-  // Same single-pass BNL, with the window mirrored in a structure-of-arrays
-  // block. The window is mutually non-dominating, so if some entry
-  // dominates p then (by transitivity) p dominates no entry — testing
-  // AnyDominates first and only then evicting matches the scalar pass.
+SkylineIndices BnlSkyline(const PointSet& points) {
+  // Single-pass BNL (with unbounded memory, our case), the window mirrored
+  // in a structure-of-arrays block. The window is mutually non-dominating,
+  // so if some entry dominates p then (by transitivity) p dominates no
+  // entry — testing AnyDominates first and only then evicting what p
+  // dominates keeps the window exactly as the per-pair pass would.
   SkylineIndices window;
   DominanceBlock block(points.dim());
   std::vector<uint8_t> dominated_flags;
@@ -61,13 +32,6 @@ SkylineIndices BnlSkylineBlock(const PointSet& points) {
   }
   SortSkyline(window);
   return window;
-}
-
-}  // namespace
-
-SkylineIndices BnlSkyline(const PointSet& points, bool use_block_kernel) {
-  return use_block_kernel ? BnlSkylineBlock(points)
-                          : BnlSkylineScalar(points);
 }
 
 }  // namespace zsky

@@ -10,13 +10,10 @@ namespace zsky {
 // in-memory window of current skyline candidates; a new point evicts window
 // entries it dominates and is discarded if any window entry dominates it.
 //
-// This is the unsorted baseline the paper's SB strategy improves on.
-//
-// `use_block_kernel` selects the structure-of-arrays block dominance
-// kernel (DominanceBlock) for the window scans; off = per-pair scalar
-// Dominates(). Both produce identical skylines.
-SkylineIndices BnlSkyline(const PointSet& points,
-                          bool use_block_kernel = true);
+// This is the unsorted baseline the paper's SB strategy improves on. The
+// window scans run on the structure-of-arrays block dominance kernel
+// (DominanceBlock).
+SkylineIndices BnlSkyline(const PointSet& points);
 
 }  // namespace zsky
 

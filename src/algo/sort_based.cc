@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/dominance.h"
 #include "common/dominance_block.h"
 
 namespace zsky {
 
-SkylineIndices SortBasedSkyline(const PointSet& points,
-                                bool use_block_kernel) {
+SkylineIndices SortBasedSkyline(const PointSet& points) {
   const size_t n = points.size();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
@@ -25,29 +23,15 @@ SkylineIndices SortBasedSkyline(const PointSet& points,
     return score[a] != score[b] ? score[a] < score[b] : a < b;
   });
 
+  // Window entries never get evicted (sorted order guarantees no later
+  // point dominates an earlier one), so the block only ever grows.
   SkylineIndices skyline;
-  if (use_block_kernel && n > 0) {
-    // Window entries never get evicted (sorted order guarantees no later
-    // point dominates an earlier one), so the block only ever grows.
-    DominanceBlock window(points.dim());
-    for (uint32_t idx : order) {
-      const auto p = points[idx];
-      if (!window.AnyDominates(p)) {
-        window.Append(p);
-        skyline.push_back(idx);
-      }
-    }
-  } else {
-    for (uint32_t idx : order) {
-      const auto p = points[idx];
-      bool dominated = false;
-      for (uint32_t s : skyline) {
-        if (Dominates(points[s], p)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) skyline.push_back(idx);
+  DominanceBlock window(points.dim());
+  for (uint32_t idx : order) {
+    const auto p = points[idx];
+    if (!window.AnyDominates(p)) {
+      window.Append(p);
+      skyline.push_back(idx);
     }
   }
   SortSkyline(skyline);

@@ -13,13 +13,9 @@ namespace zsky {
 //
 // If p dominates q then sum(p) < sum(q), so after sorting ascending by sum
 // every dominator of a point precedes it, and nothing a point dominates
-// can already be in the window.
-//
-// `use_block_kernel` selects the structure-of-arrays block dominance
-// kernel (DominanceBlock) for the window scan; off = per-pair scalar
-// Dominates(). Both produce identical skylines.
-SkylineIndices SortBasedSkyline(const PointSet& points,
-                                bool use_block_kernel = true);
+// can already be in the window. The window scan runs on the
+// structure-of-arrays block dominance kernel (DominanceBlock).
+SkylineIndices SortBasedSkyline(const PointSet& points);
 
 }  // namespace zsky
 

@@ -138,8 +138,8 @@ class DominanceBlock {
 // dominate p" is invariant under permutation of the filter, so probing
 // the reordered copy answers identically to probing the source block; the
 // clustering only makes the min test selective. Built once per query
-// plan; the source block stays untouched (the row-cursor ablation path
-// keeps probing it directly).
+// plan; the source block stays untouched (the row-cursor path, for heap
+// backings and box descs, keeps probing it directly).
 struct MaskFilterIndex {
   DominanceBlock block;
   // Per-dimension tile minima: min of dimension k over tile t lives at

@@ -526,7 +526,7 @@ SkylineIndices OverlayQueryRecount(const DatasetView& base,
                                    const DeltaState& delta,
                                    const SkylineIndices& base_result,
                                    const QueryDesc& desc, Coord max_coord,
-                                   uint32_t bits, bool use_block_kernel) {
+                                   uint32_t bits) {
   const uint32_t dim = base.dim();
   const std::vector<uint32_t> dims = desc.EffectiveDims(dim);
   const std::vector<uint8_t> flips = desc.EffectiveFlips(dim);
@@ -564,7 +564,7 @@ SkylineIndices OverlayQueryRecount(const DatasetView& base,
   SkylineIndices kept;
   if (qpoints.empty()) return kept;
   if (desc.k <= 1) {
-    kept = SortBasedSkyline(qpoints, use_block_kernel);
+    kept = SortBasedSkyline(qpoints);
   } else {
     const ZOrderCodec codec(qdim, bits);
     kept = ZOrderSkyband(codec, qpoints, desc.k);

@@ -233,7 +233,7 @@ SkylineIndices OverlayQueryRecount(const DatasetView& base,
                                    const DeltaState& delta,
                                    const SkylineIndices& base_result,
                                    const QueryDesc& desc, Coord max_coord,
-                                   uint32_t bits, bool use_block_kernel);
+                                   uint32_t bits);
 
 }  // namespace zsky
 

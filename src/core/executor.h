@@ -135,7 +135,7 @@ class ParallelSkylineExecutor {
   // plan_reused = true). `plan` must have been built by PreparePlan() from
   // these `points` with plan-shaping options equal to this executor's
   // (same partitioning, num_groups, expansion, sample_ratio, bits, seed,
-  // tree geometry and filter toggles); bit-identical to Execute() by
+  // tree geometry and filter toggle); bit-identical to Execute() by
   // construction. Same single-caller contract as Execute().
   SkylineQueryResult ExecuteWithPlan(const PreparedPlan& plan,
                                      const DatasetView& points) const;

@@ -60,11 +60,9 @@ struct ExecutorOptions {
   // tiny inputs still learn a plan.
   double sample_ratio = 0.01;
 
+  // Map tasks of MR job 1 (job 2 takes one per 256 probed candidates
+  // under kPrefixProbe, this many otherwise).
   uint32_t num_map_tasks = 16;
-  // Map tasks of MR job 2 (candidate merging); 0 = one per 256 probed
-  // candidates under kPrefixProbe, num_map_tasks otherwise. The paper's
-  // original formulation ran job 2's map phase as a single task.
-  uint32_t job2_map_tasks = 0;
   // Worker threads (0 = hardware concurrency).
   uint32_t num_threads = 0;
   bool enable_combiner = true;
@@ -77,41 +75,16 @@ struct ExecutorOptions {
   uint32_t bits = 16;
 
   // --- Hot-path controls. All default on; turning one off restores the
-  // corresponding seed behavior (useful for ablation benchmarks). ---
+  // corresponding seed behavior (the ablation arms bench_hotpath,
+  // bench_skew_stragglers, bench_sched and bench_outofcore measure). ---
   // One persistent worker pool per executor, shared by job 1, job 2 and
   // the final merge. Off = spawn-and-join threads per wave.
   bool reuse_worker_pool = true;
-  // Reducers pull their shuffle slices concurrently on the pool. Off =
-  // single-threaded shuffle.
-  bool parallel_shuffle = true;
-  // Structure-of-arrays block dominance kernel in the sort-based and BNL
-  // skylines. Off = per-pair scalar Dominates(). (ZB-tree leaves always
-  // scan their SoA mirror.)
-  bool use_block_kernel = true;
-  // Run job 1's sample-skyline filter through a DominanceBlock over the
-  // sample skyline (the SIMD kernel scans it lane-wise, with a ZB-tree
-  // walk only for survivors of an oversized block). Off = per-point
-  // SZB-tree walk for every mapped point (the PR-1 behavior). Only
-  // effective together with use_block_kernel.
-  bool batch_szb_filter = true;
-  // Zero-copy columnar record path through both MR jobs (chunked arenas,
-  // counting-sort grouping, span-based reduce). Off = the seed record
-  // path (std::function emit, vector-of-pairs buckets, unordered_map
-  // regroup) — the ablation baseline bench_shuffle measures against.
-  bool zero_copy_shuffle = true;
   // Morsel-driven work-stealing waves (docs/scheduling.md): per-slot
   // morsel queues with steal-from-random-victim on the worker pool. Off =
   // static chunked claiming from one shared counter (the PR-4 behavior) —
   // the ablation baseline bench_sched measures against.
   bool morsel_scheduling = true;
-  // Columnar-direct map wave (docs/storage.md): when the dataset view
-  // exposes a uniform-stride SoA span (`.zsc` backings) and the query is
-  // a plain full-space skyline, job 1's SZB filter runs the
-  // column-at-a-time mask kernel straight over the mapped columns —
-  // no RowBlockCursor transpose at all. Off = every backing takes the
-  // cursor path (the ablation baseline bench_outofcore measures against).
-  // Only effective together with use_block_kernel.
-  bool columnar_direct = true;
   // Async readahead on `.zsc` backings: scans announce the next block's
   // row range and the dataset's worker thread faults those pages in ahead
   // of the scan (io/columnar.h). Off = the executor disarms the view's

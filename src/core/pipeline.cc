@@ -89,12 +89,11 @@ void FillScanDeltas(mr::JobMetrics& job, const ScanCounterSnapshot& before) {
 
 SkylineIndices LocalSkyline(const ZOrderCodec& codec, const PointSet& points,
                             LocalAlgorithm algorithm,
-                            const ZBTree::Options& tree_options,
-                            bool use_block_kernel) {
+                            const ZBTree::Options& tree_options) {
   if (points.empty()) return {};
   switch (algorithm) {
     case LocalAlgorithm::kSortBased:
-      return SortBasedSkyline(points, use_block_kernel);
+      return SortBasedSkyline(points);
     case LocalAlgorithm::kZSearch:
       return ZSearchSkyline(codec, points, tree_options);
     case LocalAlgorithm::kBbs: {
@@ -115,12 +114,8 @@ SkylineIndices LocalSkyline(const ZOrderCodec& codec, const PointSet& points,
 // and the final recount in job 2 is exact (induction over drops).
 SkylineIndices LocalSkylineK(const ZOrderCodec& codec, const PointSet& points,
                              LocalAlgorithm algorithm,
-                             const ZBTree::Options& tree_options,
-                             bool use_block_kernel, uint32_t k) {
-  if (k <= 1) {
-    return LocalSkyline(codec, points, algorithm, tree_options,
-                        use_block_kernel);
-  }
+                             const ZBTree::Options& tree_options, uint32_t k) {
+  if (k <= 1) return LocalSkyline(codec, points, algorithm, tree_options);
   if (points.empty()) return {};
   if (algorithm == LocalAlgorithm::kSortBased) return NaiveSkyband(points, k);
   return ZOrderSkyband(codec, points, k);
@@ -233,17 +228,13 @@ void BuildQueryRouting(QueryRouting& r, const PreparedPlan& plan,
         const PointSet sub = PointSet::Gather(tsample, in_rows);
         PointSet band(sub.dim());
         if (desc.k == 1) {
-          for (uint32_t idx :
-               SortBasedSkyline(sub, options.use_block_kernel)) {
-            band.AppendFrom(sub, idx);
-          }
+          for (uint32_t idx : SortBasedSkyline(sub)) band.AppendFrom(sub, idx);
         } else {
           for (uint32_t idx : ZOrderSkyband(vcodec, sub, desc.k)) {
             band.AppendFrom(sub, idx);
           }
         }
-        r.box_filter =
-            BuildSzbFilter(&vcodec, band, desc.k, options, plan.tree_options);
+        r.box_filter = BuildSzbFilter(&vcodec, band, desc.k, plan.tree_options);
       }
     }
     r.probe_block =
@@ -414,17 +405,16 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
   // mask kernel straight over the mapped columns — zero transpose. The
   // mask is exactly the per-row AnyDominates answer, and routing/probing
   // happen in the same row order with the same predicates, so the emitted
-  // candidate stream is bit-identical to the cursor path's.
+  // candidate stream is bit-identical to what the cursor path emits for
+  // the same rows on the heap.
   const Coord* soa_base = nullptr;
   size_t soa_stride = 0;
-  const bool columnar_direct =
-      plain && options.columnar_direct && options.use_block_kernel &&
-      points.SoaSpan(&soa_base, &soa_stride);
+  const bool columnar_direct = plain && points.SoaSpan(&soa_base, &soa_stride);
   // Min-pruned probe index over the SZB filter block for the mask wave:
   // undominated rows skip every filter tile whose per-dimension min
   // exceeds them somewhere instead of proving a full-block miss. The
-  // plan's block itself stays untouched: the cursor ablation path probes
-  // it in its original order.
+  // plan's block itself stays untouched: the cursor path (heap backings
+  // and box descs) probes it in its original order.
   std::optional<MaskFilterIndex> direct_filter;
   if (columnar_direct && plan.szb_block.has_value() &&
       plan.szb_block->size() > 0) {
@@ -452,8 +442,6 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
   job1_options.num_threads = options.num_threads;
   job1_options.pool = pool;
   job1_options.spawn_per_wave = !options.reuse_worker_pool;
-  job1_options.parallel_shuffle = options.parallel_shuffle;
-  job1_options.legacy_record_path = !options.zero_copy_shuffle;
   job1_options.morsel_scheduling = options.morsel_scheduling;
   // Job 1's combiner (a group-local skyline/band) is idempotent, so
   // oversized reducer runs may legally be pre-collapsed in slices. The
@@ -558,10 +546,10 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
     RowBlockCursor::Block block;
     while (cursor.Next(&block)) {
       if (plain) {
-        // Pass 1 (per block): survivors of the sample-skyline filter. With
-        // the batched filter each probe is one SIMD block scan (tile
-        // early-exit) instead of a pointer-chasing tree walk; the tree
-        // only sees points the block could not reject.
+        // Pass 1 (per block): survivors of the sample-skyline filter. Each
+        // probe is one SIMD block scan (tile early-exit) instead of a
+        // pointer-chasing tree walk; the overflow tree only sees points
+        // the block could not reject.
         survivors.clear();
         survivors.reserve(block.rows);
         for (size_t i = 0; i < block.rows; ++i) {
@@ -576,8 +564,6 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
             if (!dominated && plan.szb_tree != nullptr) {
               dominated = plan.szb_tree->ExistsDominatorOf(p);
             }
-          } else if (plan.szb_tree != nullptr) {
-            dominated = plan.szb_tree->ExistsDominatorOf(p);
           }
           if (dominated) {
             ++local_filtered;
@@ -651,8 +637,6 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
           if (!dominated && routing.probe_tree != nullptr) {
             dominated = routing.probe_tree->ExistsDominatorOf(q);
           }
-        } else if (routing.probe_tree != nullptr) {
-          dominated = routing.probe_tree->ExistsDominatorOf(q);
         }
         if (dominated) {
           ++local_filtered;
@@ -724,8 +708,7 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
     const ScopedCandidateBytes cand_scope(
         static_cast<uint64_t>(local.size()) * local.dim() * sizeof(Coord));
     const SkylineIndices sky =
-        LocalSkylineK(codec, local, options.local, plan.tree_options,
-                      options.use_block_kernel, desc.k);
+        LocalSkylineK(codec, local, options.local, plan.tree_options, desc.k);
     std::vector<uint32_t> out;
     out.reserve(sky.size());
     for (uint32_t i : sky) out.push_back(rows[i]);
@@ -795,8 +778,8 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   const ZOrderCodec& codec =
       v.identity_projection ? *plan.codec : *v.codec;
   // MR value type of job 2. A plain struct rather than std::pair: pair is
-  // not trivially copyable (user-provided assignment), which would force
-  // the engine off its columnar record path.
+  // not trivially copyable (user-provided assignment), and the engine
+  // moves values as raw bytes.
   struct Candidate {
     int32_t gid;
     uint32_t row;
@@ -843,26 +826,21 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
   }
 
   // The probe wave runs fixed 256-slot morsels, so its task count depends
-  // only on the candidate count. The seed (like the paper's formulation)
-  // ran job 2's map phase as a single task; splitting the candidate list
-  // across map tasks removes that serial stage from the hot path.
+  // only on the candidate count. The paper's formulation ran job 2's map
+  // phase as a single task; splitting the candidate list across map tasks
+  // removes that serial stage from the hot path.
   constexpr size_t kProbeMorselSlots = 256;
-  const size_t default_map_tasks =
-      prefix_probe ? (n + kProbeMorselSlots - 1) / kProbeMorselSlots
-                   : options.num_map_tasks;
   const size_t job2_map_tasks = std::max<size_t>(
-      1, std::min<size_t>(options.job2_map_tasks != 0
-                              ? options.job2_map_tasks
-                              : default_map_tasks,
-                          std::max<size_t>(n, 1)));
+      1, std::min<size_t>(
+             prefix_probe ? (n + kProbeMorselSlots - 1) / kProbeMorselSlots
+                          : options.num_map_tasks,
+             std::max<size_t>(n, 1)));
 
   typename mr::MapReduceJob<Candidate>::Options job2_options;
   job2_options.num_reduce_tasks = 1;
   job2_options.num_threads = options.num_threads;
   job2_options.pool = pool;
   job2_options.spawn_per_wave = !options.reuse_worker_pool;
-  job2_options.parallel_shuffle = options.parallel_shuffle;
-  job2_options.legacy_record_path = !options.zero_copy_shuffle;
   job2_options.morsel_scheduling = options.morsel_scheduling;
   job2_options.spill_to_disk = options.spill_to_disk;
   // Fold job 2's candidate-side working set under the same memory budget
@@ -963,8 +941,8 @@ SkylineIndices RunMergeJob(const PreparedPlan& plan,
           options.merge == MergeAlgorithm::kZSearch
               ? LocalAlgorithm::kZSearch
               : LocalAlgorithm::kSortBased;
-      for (uint32_t i : LocalSkyline(codec, all, merge_algo, plan.tree_options,
-                                     options.use_block_kernel)) {
+      for (uint32_t i :
+           LocalSkyline(codec, all, merge_algo, plan.tree_options)) {
         final_skyline.push_back(rows[i]);
       }
     }

@@ -10,60 +10,6 @@
 
 namespace zsky {
 
-PlanDecision PlanQuery(const DatasetView& points,
-                       const ExecutorOptions& base) {
-  PlanDecision decision;
-  decision.options = base;
-  ExecutorOptions& options = decision.options;
-  options.partitioning = PartitioningScheme::kZdg;
-
-  if (points.empty()) {
-    decision.rationale = "empty input: defaults";
-    return decision;
-  }
-  const uint32_t dim = points.dim();
-
-  // Cheap statistics from a small sample.
-  Rng rng(base.seed ^ 0x9E3779B97F4A7C15ULL);
-  const size_t sample_size = std::min<size_t>(points.size(), 2000);
-  const PointSet sample = ReservoirSample(points, sample_size, rng);
-  const size_t sample_skyline = SortBasedSkyline(sample).size();
-  decision.sample_size = sample.size();
-  decision.estimated_skyline_fraction =
-      static_cast<double>(sample_skyline) /
-      static_cast<double>(sample.size());
-
-  const bool skyline_heavy = decision.estimated_skyline_fraction > 0.10;
-  const bool high_dim = dim >= 7;
-  const bool extreme_dim = dim >= 32;
-
-  if (extreme_dim) {
-    // Nearly everything is a skyline point: the SZB filter rejects almost
-    // nothing but costs an index query per input point.
-    options.local = LocalAlgorithm::kZSearch;
-    options.merge = MergeAlgorithm::kPrefixProbe;
-    options.enable_szb_filter = false;
-    decision.rationale =
-        "extreme dimensionality: ZS locals + prefix probe, SZB filter off";
-  } else if (high_dim || skyline_heavy) {
-    options.local = LocalAlgorithm::kZSearch;
-    options.merge = MergeAlgorithm::kPrefixProbe;
-    decision.rationale =
-        skyline_heavy ? "skyline-heavy sample: ZS locals + prefix probe"
-                      : "high dimensionality: ZS locals + prefix probe";
-  } else {
-    // Small skylines at low dimensionality: pairwise passes win and the
-    // merge input is tiny.
-    options.local = LocalAlgorithm::kSortBased;
-    options.merge = MergeAlgorithm::kSortBased;
-    decision.rationale = "small skyline at low dimensionality: SB + SB";
-  }
-
-  // Larger samples pay off when the skyline is large (Figure 13).
-  options.sample_ratio = skyline_heavy ? 0.02 : 0.01;
-  return decision;
-}
-
 PlanCostEstimate EstimatePlanCost(const PreparedPlan& plan,
                                   size_t dataset_size) {
   PlanCostEstimate estimate;
@@ -270,9 +216,8 @@ PlanChoice ChoosePlan(const DatasetView& points, const ExecutorOptions& base,
         cand.merge = local == LocalAlgorithm::kSortBased
                          ? MergeAlgorithm::kSortBased
                          : MergeAlgorithm::kPrefixProbe;
-        // The rule-based regimes that are about correctness/robustness
-        // rather than cost still apply: at extreme dimensionality the SZB
-        // filter rejects almost nothing but costs a probe per point.
+        // At extreme dimensionality the SZB filter rejects almost
+        // nothing but costs a probe per point.
         if (dim >= 32) cand.enable_szb_filter = false;
         cand.sample_ratio = skyline_heavy ? 0.02 : 0.01;
 

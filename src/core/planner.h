@@ -15,29 +15,6 @@ namespace zsky {
 
 struct PreparedPlan;
 
-// What the planner saw and why it chose what it chose.
-struct PlanDecision {
-  ExecutorOptions options;
-  // Sample-estimated skyline fraction (|sky(sample)| / |sample|).
-  double estimated_skyline_fraction = 0.0;
-  size_t sample_size = 0;
-  std::string rationale;  // Human-readable explanation.
-};
-
-// Picks a strategy combination from cheap sample statistics (the decision
-// rules follow the paper's measured regimes, reproduced by bench_fig7 and
-// bench_centralized):
-//  - low dimensionality & tiny skylines: SB locals beat index-based ones;
-//  - d >= 7 or skyline-heavy data: Z-search locals, prefix-probe merge;
-//  - very high dimensionality (>= 32): skip the SZB filter (it filters
-//    almost nothing and costs a query per point).
-// `base` carries the caller's fixed settings (num_groups, bits, threads);
-// the planner fills partitioning/local/merge/sample knobs. `points` is a
-// DatasetView (heap PointSets convert implicitly) — only a ~2000-point
-// sample is ever materialized, so planning over an mmap'd dataset touches
-// a vanishing fraction of its pages.
-PlanDecision PlanQuery(const DatasetView& points, const ExecutorOptions& base);
-
 // Predicted per-query cost drivers of running the pipeline under a plan.
 // All quantities are sample-extrapolated — nothing is executed.
 struct PlanCostEstimate {
@@ -120,10 +97,10 @@ struct PlanChoice {
 // each over one shared ~2000-point sample (sample_ratio = 1, so the mini-
 // plan's statistics cover the whole sample), prices it for the full
 // dataset via EstimatePlanCost + `calibration`, and returns the cheapest.
-// Unlike the rule-based PlanQuery above, ChoosePlan may also change
-// num_groups (the reducer count) — pass the result's `options` to
-// PreparePlan to build the real plan. The final-merge algorithm follows
-// the local one (SB locals -> SB merge, ZS locals -> prefix probe).
+// ChoosePlan may also change num_groups (the reducer count) — pass the
+// result's `options` to PreparePlan to build the real plan. The
+// final-merge algorithm follows the local one (SB locals -> SB merge, ZS
+// locals -> prefix probe).
 // When `desc` is non-null the candidates are priced for that query variant
 // (EstimatePlanCost's desc overload): a tight constraint box shrinks the
 // predicted shuffle/merge volumes, which can flip the choice toward

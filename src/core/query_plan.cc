@@ -136,8 +136,7 @@ void FinishPlanFromSample(PreparedPlan& plan,
   if (plan.sample_skyline.empty()) {
     // Non-Z path: compute the sample skyline for metrics and (potential)
     // filter reuse.
-    for (uint32_t idx :
-         SortBasedSkyline(plan.sample, options.use_block_kernel)) {
+    for (uint32_t idx : SortBasedSkyline(plan.sample)) {
       plan.sample_skyline.AppendFrom(plan.sample, idx);
     }
   }
@@ -147,7 +146,7 @@ void FinishPlanFromSample(PreparedPlan& plan,
   // sample-skyline prefilter, so it only activates for Z-order schemes.
   if (options.enable_szb_filter && IsZScheme(options.partitioning)) {
     SzbFilter filter = BuildSzbFilter(plan.codec.get(), plan.sample_skyline,
-                                      1, options, plan.tree_options);
+                                      1, plan.tree_options);
     plan.szb_block = std::move(filter.block);
     plan.szb_tree = std::move(filter.tree);
   }
@@ -156,22 +155,18 @@ void FinishPlanFromSample(PreparedPlan& plan,
 }  // namespace
 
 SzbFilter BuildSzbFilter(const ZOrderCodec* codec, const PointSet& band,
-                         uint32_t k, const ExecutorOptions& options,
-                         const ZBTree::Options& tree_options) {
+                         uint32_t k, const ZBTree::Options& tree_options) {
   SzbFilter filter;
   if (band.empty()) return filter;
-  // The filter has two implementations with identical answers ("is p
-  // strictly dominated by some band point?"):
-  //  - batched: a DominanceBlock over the first kSzbBlockCap band points,
-  //    scanned by the SIMD kernel; when the band is larger, a ZB-tree over
-  //    the remainder catches what the block missed. For the common case
-  //    (band <= cap) the mapper never touches a tree.
-  //  - tree walk: the per-point SZB-tree probe (kept as the
-  //    scalar/ablation path).
-  // k > 1 probes *count* dominators (CountDominatorsOf), which only the
-  // tree supports, so the k-band filter is always a pure tree.
+  // k == 1 asks "is p strictly dominated by some band point?": a
+  // DominanceBlock over the first kSzbBlockCap band points, scanned by the
+  // SIMD kernel; when the band is larger, a ZB-tree over the remainder
+  // catches what the block missed. For the common case (band <= cap) the
+  // mapper never touches a tree. k > 1 probes *count* dominators
+  // (CountDominatorsOf), which only the tree supports, so the k-band
+  // filter is a pure tree.
   constexpr size_t kSzbBlockCap = 4096;
-  if (k == 1 && options.batch_szb_filter && options.use_block_kernel) {
+  if (k == 1) {
     const size_t head = std::min(band.size(), kSzbBlockCap);
     filter.block.emplace(band.dim());
     filter.block->Reserve(head);
@@ -338,7 +333,7 @@ std::shared_ptr<const PreparedPlan> PatchPlanForDeletes(
     if (plan.HasSzbFilter()) {
       SzbFilter filter =
           BuildSzbFilter(patched->codec.get(), patched->sample_skyline, 1,
-                         patched->options, patched->tree_options);
+                         patched->tree_options);
       patched->szb_block = std::move(filter.block);
       patched->szb_tree = std::move(filter.tree);
     }
@@ -398,8 +393,7 @@ std::shared_ptr<const PreparedVariant> PreparedPlan::Variant(
         v->sample_band = std::move(build.sample_skyline);
         if (v->sample_band.empty() && !v->sample.empty()) {
           v->sample_band = PointSet(v->sample.dim());
-          for (uint32_t idx :
-               SortBasedSkyline(v->sample, options.use_block_kernel)) {
+          for (uint32_t idx : SortBasedSkyline(v->sample)) {
             v->sample_band.AppendFrom(v->sample, idx);
           }
         }
@@ -418,8 +412,8 @@ std::shared_ptr<const PreparedVariant> PreparedPlan::Variant(
       }
     }
     if (options.enable_szb_filter && IsZScheme(options.partitioning)) {
-      v->filter = BuildSzbFilter(vcodec, v->sample_band, desc.k, options,
-                                 tree_options);
+      v->filter =
+          BuildSzbFilter(vcodec, v->sample_band, desc.k, tree_options);
     }
   }
 

@@ -36,8 +36,7 @@ struct SzbFilter {
 };
 
 SzbFilter BuildSzbFilter(const ZOrderCodec* codec, const PointSet& band,
-                         uint32_t k, const ExecutorOptions& options,
-                         const ZBTree::Options& tree_options);
+                         uint32_t k, const ZBTree::Options& tree_options);
 
 // One cached per-shape derivation of a PreparedPlan (see
 // common/query_desc.h for the shape/box split): the Z-order codec
@@ -89,7 +88,7 @@ struct PreparedVariant {
 // queries (see core/query_service.h). Rebuilding the plan is only needed
 // when the dataset or a plan-shaping option changes — partitioning scheme,
 // num_groups, expansion, sample_ratio, bits, seed, tree geometry, or the
-// SZB-filter toggles. Pipeline-only knobs (merge algorithm, map-task
+// SZB-filter toggle. Pipeline-only knobs (merge algorithm, map-task
 // counts, thread counts) can vary per query against the same plan.
 struct PreparedPlan {
   // The options the plan was built under (PreparePlan copies them in).
@@ -103,8 +102,8 @@ struct PreparedPlan {
   // movable. Shared with the plans PatchPlanForDeletes derives, which keep
   // this plan's partitioner (or a copy of it).
   std::shared_ptr<const ZOrderCodec> codec;
-  // Tree geometry plus the hot-path kernel toggle; used for every tree a
-  // query over this plan builds (local skylines, merge trees).
+  // Tree geometry; used for every tree a query over this plan builds
+  // (local skylines, merge trees).
   ZBTree::Options tree_options{};
 
   std::shared_ptr<const Partitioner> partitioner;
@@ -125,8 +124,7 @@ struct PreparedPlan {
 
   // SZB mapper filter (Algorithm 3 lines 2-3); present only for Z-order
   // schemes with the filter enabled. The block covers the head of the
-  // sample skyline for the SIMD scan; the tree holds the overflow (or the
-  // whole skyline when the batched filter is off).
+  // sample skyline for the SIMD scan; the tree holds the overflow.
   std::optional<DominanceBlock> szb_block;
   std::unique_ptr<ZBTree> szb_tree;
 

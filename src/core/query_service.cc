@@ -774,7 +774,6 @@ SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
   ExecutorOptions run_options = options_.executor;
   if (request.merge) run_options.merge = *request.merge;
   if (request.num_map_tasks) run_options.num_map_tasks = *request.num_map_tasks;
-  if (request.job2_map_tasks) run_options.job2_map_tasks = *request.job2_map_tasks;
 
   const PreparedPlan& plan = *snap->plan;
   pm.sample_size = plan.sample.size();
@@ -872,7 +871,7 @@ SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
     // result covers every alive delta row by itself.
     result.skyline = OverlayQueryRecount(
         view, *delta, base_result, request.desc, plan.codec->max_coord(),
-        plan.options.bits, plan.options.use_block_kernel);
+        plan.options.bits);
   }
   pm.total_ms = pm.preprocess_ms + pipeline_watch.ElapsedMs();
   pm.sim_total_ms = pm.preprocess_ms + pm.sim_job1_ms + pm.sim_job2_ms;

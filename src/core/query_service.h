@@ -25,13 +25,12 @@ namespace zsky {
 
 // Pipeline-only knobs a single query may override against the shared plan.
 // Anything that re-shapes the plan (partitioning scheme, group count,
-// sample ratio, bits, filter toggles) is fixed per service — change it by
+// sample ratio, bits, filter toggle) is fixed per service — change it by
 // constructing a new service (or re-issuing SetDataset on one built with
 // the new options).
 struct QueryRequest {
   std::optional<MergeAlgorithm> merge;
   std::optional<uint32_t> num_map_tasks;
-  std::optional<uint32_t> job2_map_tasks;
   // The query variant (common/query_desc.h): constraint box, dimension
   // subset, per-dimension directions, k-skyband. Shapes resolve through
   // the snapshot plan's variant cache; the box is pure per-query state —

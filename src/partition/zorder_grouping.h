@@ -52,10 +52,10 @@ class ZOrderGroupedPartitioner : public Partitioner {
 
   // Reconstructs a partitioner from previously learned plan state — the
   // paper's "the preprocessing step outputs the data partitioning rules"
-  // (Section 5.1). `lowers` are the partitions' inclusive lower-bound
-  // addresses (ascending, first == MinAddress); `group_of` maps partitions
-  // to groups (kDroppedGroup for pruned ones); the sample skyline feeds
-  // the SZB mapper filter. See io/plan_io.h for the byte format.
+  // (Section 5.1); WithSample builds its copies through it. `lowers` are
+  // the partitions' inclusive lower-bound addresses (ascending, first ==
+  // MinAddress); `group_of` maps partitions to groups (kDroppedGroup for
+  // pruned ones); the sample skyline feeds the SZB mapper filter.
   static ZOrderGroupedPartitioner FromPlanParts(
       const ZOrderCodec* codec, const Options& options,
       std::vector<ZAddress> lowers, std::vector<int32_t> group_of,

@@ -40,14 +40,12 @@
 #include "core/query_plan.h"
 #include "core/query_service.h"
 #include "core/report.h"
-#include "core/skyband_executor.h"
 #include "core/streaming.h"
 #include "core/windowed_skyline.h"
 #include "gen/synthetic.h"
 #include "io/binary.h"
 #include "io/columnar.h"
 #include "io/csv.h"
-#include "io/plan_io.h"
 #include "index/bbs.h"
 #include "index/constrained.h"
 #include "index/dynamic_skyline.h"

@@ -110,10 +110,10 @@ TEST(ColumnarDirectKernelTest, MaskMatchesDominatesOracleAcrossTiers) {
   }
 }
 
-// --- Columnar-direct vs cursor vs heap parity over the scheme x local
-// matrix. All three must be bit-identical (and match the BNL oracle):
-// the direct wave is the same filter/route predicates in the same row
-// order, just fed column-at-a-time.
+// --- Columnar-direct vs heap parity over the scheme x local matrix. Both
+// must be bit-identical (and match the BNL oracle): the direct wave is
+// the same filter/route predicates in the same row order, just fed
+// column-at-a-time.
 struct DirectCase {
   PartitioningScheme partitioning;
   LocalAlgorithm local;
@@ -153,7 +153,7 @@ class ColumnarDirectParityTest : public ::testing::TestWithParam<DirectCase> {
 PointSet* ColumnarDirectParityTest::points_ = nullptr;
 std::string* ColumnarDirectParityTest::path_ = nullptr;
 
-TEST_P(ColumnarDirectParityTest, DirectMatchesCursorAndHeap) {
+TEST_P(ColumnarDirectParityTest, DirectMatchesHeapAndBnl) {
   const DirectCase& c = GetParam();
   ExecutorOptions options;
   options.partitioning = c.partitioning;
@@ -172,16 +172,10 @@ TEST_P(ColumnarDirectParityTest, DirectMatchesCursorAndHeap) {
 
   const SkylineIndices heap =
       ParallelSkylineExecutor(options).Execute(*points_).skyline;
-  ASSERT_TRUE(options.columnar_direct);
   const SkylineIndices direct =
       ParallelSkylineExecutor(options).Execute(mapped->view()).skyline;
-  ExecutorOptions cursor_options = options;
-  cursor_options.columnar_direct = false;
-  const SkylineIndices cursor =
-      ParallelSkylineExecutor(cursor_options).Execute(mapped->view()).skyline;
 
   EXPECT_EQ(heap, direct) << options.Label();
-  EXPECT_EQ(direct, cursor) << options.Label();
   EXPECT_EQ(direct, BnlSkyline(*points_)) << options.Label();
 }
 
@@ -204,8 +198,9 @@ INSTANTIATE_TEST_SUITE_P(
     }()),
     DirectCaseName);
 
-// Direct and cursor paths agree on every ISA tier, and every tier agrees
-// with every other (the mask kernel's dispatch cannot change results).
+// The mask wave and the heap run agree on every ISA tier, and every tier
+// agrees with every other (the mask kernel's dispatch cannot change
+// results).
 TEST(ColumnarDirectIsaTest, AllTiersBitIdentical) {
   const PointSet points = GenerateQuantized(Distribution::kAnticorrelated,
                                             4000, 6, 77, Quantizer(kBits));
@@ -227,19 +222,18 @@ TEST(ColumnarDirectIsaTest, AllTiersBitIdentical) {
     SetActiveIsa(isa);
     const SkylineIndices direct =
         ParallelSkylineExecutor(options).Execute(mapped->view()).skyline;
-    ExecutorOptions cursor_options = options;
-    cursor_options.columnar_direct = false;
-    const SkylineIndices cursor =
-        ParallelSkylineExecutor(cursor_options).Execute(mapped->view()).skyline;
+    const SkylineIndices heap =
+        ParallelSkylineExecutor(options).Execute(points).skyline;
     EXPECT_EQ(direct, oracle) << IsaName(isa);
-    EXPECT_EQ(cursor, oracle) << IsaName(isa);
+    EXPECT_EQ(heap, oracle) << IsaName(isa);
   }
   std::remove(path.c_str());
 }
 
-// --- The tentpole's headline counter: an SZB-eligible plain query over a
-// `.zsc` backing must run with ZERO transpose bytes on the direct wave,
-// while the cursor ablation transposes every scanned row.
+// --- The headline counter: an SZB-eligible plain query over a `.zsc`
+// backing must run with ZERO transpose bytes on the direct wave, while a
+// box desc over the same file takes the cursor and transposes every
+// scanned row.
 TEST(ColumnarDirectMetricsTest, TransposeBytesZeroOnDirectPlan) {
   const PointSet points = GenerateQuantized(Distribution::kIndependent, 20000,
                                             6, 321, Quantizer(kBits));
@@ -253,19 +247,48 @@ TEST(ColumnarDirectMetricsTest, TransposeBytesZeroOnDirectPlan) {
   options.bits = kBits;
   options.num_groups = 4;
   options.num_threads = 2;
-  ASSERT_TRUE(options.columnar_direct && options.use_block_kernel);
   const SkylineQueryResult direct =
       ParallelSkylineExecutor(options).Execute(mapped->view());
   EXPECT_EQ(direct.metrics.job1.transpose_bytes, 0u);
 
-  ExecutorOptions cursor_options = options;
-  cursor_options.columnar_direct = false;
+  // A box covering the whole domain keeps every row but is not the plain
+  // desc, so the scan goes through the cursor.
+  QueryDesc whole_box;
+  whole_box.box_lo.assign(points.dim(), 0);
+  whole_box.box_hi.assign(points.dim(), (Coord{1} << kBits) - 1);
   const SkylineQueryResult cursor =
-      ParallelSkylineExecutor(cursor_options).Execute(mapped->view());
-  // The cursor ablation transposes at least the whole scan once.
+      ParallelSkylineExecutor(options).Execute(mapped->view(), whole_box);
+  // The cursor transposes at least the whole scan once.
   EXPECT_GE(cursor.metrics.job1.transpose_bytes,
             points.size() * points.dim() * sizeof(Coord));
   EXPECT_EQ(direct.skyline, cursor.skyline);
+  std::remove(path.c_str());
+}
+
+// With the SZB filter off (as ChoosePlan sets it at extreme
+// dimensionality) a plain query still takes the mask wave: no block to
+// scan, every alive row goes to the router, nothing is transposed.
+TEST(ColumnarDirectMetricsTest, MaskWaveRunsWithoutTheSzbFilter) {
+  const PointSet points = GenerateQuantized(Distribution::kAnticorrelated,
+                                            8000, 5, 322, Quantizer(kBits));
+  const std::string path = TempZsc("columnar_direct_nofilter");
+  std::string error;
+  ASSERT_TRUE(WriteColumnarFile(path, points, kBits, &error)) << error;
+  const auto mapped = ColumnarDataset::Open(path, &error);
+  ASSERT_NE(mapped, nullptr) << error;
+
+  ExecutorOptions options;
+  options.bits = kBits;
+  options.num_groups = 4;
+  options.num_threads = 2;
+  options.enable_szb_filter = false;
+  const SkylineQueryResult direct =
+      ParallelSkylineExecutor(options).Execute(mapped->view());
+  EXPECT_EQ(direct.metrics.job1.transpose_bytes, 0u);
+  EXPECT_EQ(direct.metrics.filtered_by_szb, 0u);
+  EXPECT_EQ(direct.skyline, BnlSkyline(points));
+  EXPECT_EQ(direct.skyline,
+            ParallelSkylineExecutor(options).Execute(points).skyline);
   std::remove(path.c_str());
 }
 

@@ -246,31 +246,24 @@ TEST(ExecutorTest, MetricsPlausible) {
   EXPECT_EQ(map_in, points.size());
 }
 
-// The hot-path machinery (persistent pool, parallel shuffle, block
-// dominance kernel, split job-2 map wave) must be output-invisible: every
-// toggle combination yields the bit-identical skyline of the seed-mode
-// configuration.
+// The persistent worker pool must be output-invisible: the pool and the
+// spawn-per-wave threads yield the bit-identical BNL skyline, and job 2's
+// probe wave splits into 256-slot morsels either way.
 TEST(ExecutorTest, HotPathTogglesAreOutputInvisible) {
   const PointSet points = MakePoints(Distribution::kAnticorrelated, 6000, 5,
                                      17);
-  auto run = [&](bool hot) {
+  const SkylineIndices oracle = BnlSkyline(points);
+  for (const bool reuse_pool : {true, false}) {
     ExecutorOptions options;
     options.bits = kBits;
     options.partitioning = PartitioningScheme::kZdg;
     options.merge = MergeAlgorithm::kPrefixProbe;
     options.num_threads = 4;
-    options.reuse_worker_pool = hot;
-    options.parallel_shuffle = hot;
-    options.use_block_kernel = hot;
-    options.job2_map_tasks = hot ? 0 : 1;  // Seed ran job 2's map as 1 task.
-    return ParallelSkylineExecutor(options).Execute(points);
-  };
-  const auto hot = run(true);
-  const auto seed_mode = run(false);
-  EXPECT_EQ(hot.skyline, seed_mode.skyline);
-  EXPECT_EQ(hot.skyline, BnlSkyline(points));
-  EXPECT_GT(hot.metrics.job2.map_tasks.size(), 1u);
-  EXPECT_EQ(seed_mode.metrics.job2.map_tasks.size(), 1u);
+    options.reuse_worker_pool = reuse_pool;
+    const auto result = ParallelSkylineExecutor(options).Execute(points);
+    EXPECT_EQ(result.skyline, oracle) << "reuse_worker_pool=" << reuse_pool;
+    EXPECT_GT(result.metrics.job2.map_tasks.size(), 1u);
+  }
 }
 
 TEST(ExecutorTest, SimulatedClusterMetricsPopulated) {
@@ -492,6 +485,118 @@ TEST(MrGpmrsTest, EmptyInput) {
   MrGpmrsOptions options;
   options.bits = kBits;
   EXPECT_TRUE(MrGpmrsSkyline(empty, options).skyline.empty());
+}
+
+struct BandCase {
+  Distribution distribution;
+  size_t n;
+  uint32_t dim;
+  uint32_t k;
+  uint64_t seed;
+};
+
+class PipelineSkybandTest : public ::testing::TestWithParam<BandCase> {
+ protected:
+  static ExecutorOptions BandOptions() {
+    ExecutorOptions options;
+    options.num_groups = 6;
+    options.bits = kBits;
+    options.sample_ratio = 0.05;
+    return options;
+  }
+};
+
+// The k-skyband is the pipeline's QueryDesc{k}: the default scheme, local
+// and merge answer it exactly, with the mapper's counting filter dropping
+// points with >= k dominators in the sample k-band.
+TEST_P(PipelineSkybandTest, MatchesNaiveSkyband) {
+  const BandCase& c = GetParam();
+  const PointSet points = MakePoints(c.distribution, c.n, c.dim, c.seed);
+  QueryDesc desc;
+  desc.k = c.k;
+  const SkylineQueryResult result =
+      ParallelSkylineExecutor(BandOptions()).Execute(points, desc);
+  EXPECT_EQ(result.skyline, NaiveSkyband(points, c.k));
+  EXPECT_GE(result.metrics.candidates, result.skyline.size());
+  EXPECT_GT(result.metrics.filtered_by_szb, 0u);
+}
+
+// With the counting filter off every point reaches job 1's reducers, and
+// the band is still exact.
+TEST_P(PipelineSkybandTest, FilterCanBeDisabled) {
+  const BandCase& c = GetParam();
+  const PointSet points = MakePoints(c.distribution, c.n, c.dim, c.seed);
+  QueryDesc desc;
+  desc.k = c.k;
+  ExecutorOptions options = BandOptions();
+  options.enable_szb_filter = false;
+  const SkylineQueryResult unfiltered =
+      ParallelSkylineExecutor(options).Execute(points, desc);
+  EXPECT_EQ(unfiltered.skyline, NaiveSkyband(points, c.k));
+  EXPECT_EQ(unfiltered.metrics.filtered_by_szb, 0u);
+}
+
+// A static table keeps the padding bytes zero, so the byte dumps gtest
+// prints into the case names do not change from run to run.
+constexpr BandCase kBandCases[] = {
+    {Distribution::kIndependent, 3000, 3, 1, 1},
+    {Distribution::kIndependent, 3000, 3, 2, 2},
+    {Distribution::kIndependent, 3000, 5, 3, 3},
+    {Distribution::kCorrelated, 3000, 4, 2, 4},
+    {Distribution::kAnticorrelated, 2000, 3, 2, 5},
+    {Distribution::kAnticorrelated, 2000, 4, 5, 6}};
+
+INSTANTIATE_TEST_SUITE_P(AllCases, PipelineSkybandTest,
+                         ::testing::ValuesIn(kBandCases));
+
+TEST(PipelineSkybandTest, KOneEqualsSkyline) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 4000, 4, 7);
+  ExecutorOptions options;
+  options.bits = kBits;
+  const ParallelSkylineExecutor executor(options);
+  QueryDesc desc;
+  desc.k = 1;
+  const SkylineQueryResult band = executor.Execute(points, desc);
+  EXPECT_EQ(band.skyline, NaiveSkyband(points, 1));
+  EXPECT_EQ(band.skyline, executor.Execute(points).skyline);
+}
+
+TEST(PipelineSkybandTest, EmptyInput) {
+  ExecutorOptions options;
+  options.bits = kBits;
+  PointSet empty(3);
+  QueryDesc desc;
+  desc.k = 2;
+  EXPECT_TRUE(
+      ParallelSkylineExecutor(options).Execute(empty, desc).skyline.empty());
+}
+
+// Job 2's map wave takes its task count from the candidates alone: one
+// task per 256 probed candidates under the prefix probe, num_map_tasks
+// (capped by the candidate count) for the reducer-side merges.
+TEST(ExecutorTest, Job2MapTasksFollowTheCandidates) {
+  const PointSet points =
+      MakePoints(Distribution::kAnticorrelated, 6000, 5, 17);
+  const SkylineIndices oracle = BnlSkyline(points);
+  for (const MergeAlgorithm merge :
+       {MergeAlgorithm::kPrefixProbe, MergeAlgorithm::kZMerge,
+        MergeAlgorithm::kZSearch, MergeAlgorithm::kSortBased}) {
+    ExecutorOptions options;
+    options.bits = kBits;
+    options.num_map_tasks = 5;
+    options.num_threads = 2;
+    options.merge = merge;
+    const SkylineQueryResult result =
+        ParallelSkylineExecutor(options).Execute(points);
+    SCOPED_TRACE(options.Label());
+    EXPECT_EQ(result.skyline, oracle);
+    const size_t candidates = result.metrics.candidates;
+    ASSERT_GT(candidates, 256u);
+    const size_t expected = merge == MergeAlgorithm::kPrefixProbe
+                                ? (candidates + 255) / 256
+                                : std::min<size_t>(5, candidates);
+    EXPECT_EQ(result.metrics.job2.map_tasks.size(), expected);
+  }
 }
 
 }  // namespace

@@ -71,6 +71,27 @@ TEST(ZBTreeTest, ExistsDominatorMatchesBruteForce) {
   }
 }
 
+TEST(ZBTreeCountTest, CountDominatorsMatchesBruteForce) {
+  const Quantizer quantizer(12);
+  const PointSet ps =
+      GenerateQuantized(Distribution::kIndependent, 800, 3, 9, quantizer);
+  ZOrderCodec codec(3, 12);
+  ZBTree tree(&codec, ps);
+  const PointSet probes =
+      GenerateQuantized(Distribution::kIndependent, 100, 3, 10, quantizer);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    size_t brute = 0;
+    for (size_t j = 0; j < ps.size(); ++j) {
+      if (Dominates(ps[j], probes[i])) ++brute;
+    }
+    for (size_t cap : {size_t{1}, size_t{3}, size_t{1000}}) {
+      EXPECT_EQ(tree.CountDominatorsOf(probes[i], cap),
+                std::min(brute, cap))
+          << "probe " << i << " cap " << cap;
+    }
+  }
+}
+
 TEST(ZBTreeTest, RemoveDominatedMatchesBruteForce) {
   ZOrderCodec codec(3, kBits);
   PointSet ps = MakePoints(Distribution::kIndependent, 500, 3, 4);

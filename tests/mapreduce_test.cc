@@ -690,14 +690,15 @@ TEST(MapReduceJobTest, MapRecordsInPopulatedFromSplitSize) {
 }
 
 TEST(MapReduceJobTest, ParallelShuffleMatchesSerial) {
-  // Value arrival order per (reducer, key) must be identical: the parallel
-  // shuffle assigns whole reducers to tasks, so each reducer still pulls
-  // its records in task-major order.
-  auto run = [](bool parallel) {
+  // Value arrival order per (reducer, key) must be identical whether the
+  // reducers pull on the pool or serially (spawn-per-wave jobs have no
+  // pool): the parallel pull assigns whole reducers to tasks, so each
+  // reducer still pulls its records in task-major order.
+  auto run = [](bool on_pool) {
     MapReduceJob<uint64_t>::Options options;
     options.num_reduce_tasks = 4;
     options.num_threads = 4;
-    options.parallel_shuffle = parallel;
+    options.spawn_per_wave = !on_pool;
     MapReduceJob<uint64_t> job(options);
     std::mutex mu;
     std::map<int32_t, std::vector<uint64_t>> values_by_key;
@@ -743,7 +744,6 @@ TEST(MapReduceJobTest, ParallelShuffleWithSpillSurvivesInjectedFailures) {
     MapReduceJob<uint64_t>::Options options;
     options.num_reduce_tasks = 4;
     options.num_threads = 4;
-    options.parallel_shuffle = true;
     options.spill_to_disk = true;
     options.spill_dir = dir.string();
     if (inject) {
@@ -958,32 +958,71 @@ TEST(MapReduceJobTest, SteadyStateWaveIsAllocationFree) {
   EXPECT_LT(allocs, kTasks * kPerTask / 100);
 }
 
-// Engine-level parity matrix: the columnar record path must be
-// record-for-record identical to the legacy path — same keys, same
-// per-key value order (task-major, emit-stable) — across spill modes,
-// combiner on/off, and injected task retries.
-TEST(MapReduceJobTest, ColumnarMatchesLegacyAcrossTheMatrix) {
+// Engine-level matrix against a serial reference that spells out the
+// engine's contract: keys reach each reducer in ascending order; per key,
+// values arrive in task-major emit order (split 0's records first); with
+// the combiner on, each (task, key) run is combined exactly once before
+// the shuffle; and a failed attempt leaves no output. Every cell — spill
+// mode x combiner x injected retries — runs with reducers pulling on the
+// pool and with the serial pull of spawn-per-wave jobs.
+TEST(MapReduceJobTest, MatchesSerialReferenceAcrossTheMatrix) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "zsky_parity_matrix";
   fs::create_directories(dir);
   enum class Spill { kOff, kFull, kBudget };
+  constexpr size_t kTasks = 6;
+  constexpr uint32_t kReducers = 4;
 
-  auto run = [&](bool legacy, Spill spill, bool combiner, bool retry) {
+  // Skewed sizes so the budget spill has distinct "largest" tasks.
+  auto map = [](size_t task, auto& emit) {
+    const uint64_t count = (task + 1) * 1500;
+    for (uint64_t v = 0; v < count; ++v) {
+      emit(static_cast<int32_t>((task * 7 + v) % 23), task * 1000000 + v);
+    }
+  };
+  // Order-preserving pairwise sum: collapses records while keeping the
+  // output dependent on the input order, so any ordering difference shows
+  // up in the final values.
+  auto combine = [](int32_t, std::span<const uint64_t> values, auto&& emit) {
+    for (size_t i = 0; i < values.size(); i += 2) {
+      emit(i + 1 < values.size() ? values[i] + values[i + 1] : values[i]);
+    }
+  };
+
+  using Output = std::map<int32_t, std::vector<uint64_t>>;
+  auto reference = [&](bool combiner) {
+    Output out;
+    for (size_t task = 0; task < kTasks; ++task) {
+      std::map<int32_t, std::vector<uint64_t>> runs;
+      auto collect = [&](int32_t key, uint64_t value) {
+        runs[key].push_back(value);
+      };
+      map(task, collect);
+      for (const auto& [key, run] : runs) {
+        std::vector<uint64_t>& dst = out[key];
+        if (combiner) {
+          combine(key, std::span<const uint64_t>(run),
+                  [&](uint64_t v) { dst.push_back(v); });
+        } else {
+          dst.insert(dst.end(), run.begin(), run.end());
+        }
+      }
+    }
+    return out;
+  };
+
+  auto run = [&](Spill spill, bool combiner, bool retry, bool on_pool) {
     MapReduceJob<uint64_t>::Options options;
-    options.num_reduce_tasks = 4;
+    options.num_reduce_tasks = kReducers;
     options.num_threads = 4;
-    options.legacy_record_path = legacy;
+    options.spawn_per_wave = !on_pool;
     options.enable_combiner = combiner;
     options.spill_to_disk = spill == Spill::kFull;
     if (spill == Spill::kBudget) {
-      // The paths account differently, so each gets a budget that forces
-      // a *partial* spill under its own accounting: the legacy path
-      // counts record bytes (378 KB total, largest tasks spill until the
-      // rest fits 128 KB), the columnar path counts pinned chunk capacity
-      // (~384 KB per task — the first finisher stays under 512 KB and
-      // later tasks spill themselves mid-wave).
-      options.shuffle_memory_budget_bytes =
-          legacy ? 128 * 1024 : 512 * 1024;
+      // Accounted at pinned chunk capacity (~384 KB per task): the first
+      // finisher stays under 512 KB and later tasks spill themselves
+      // mid-wave — a partial spill whatever the completion order.
+      options.shuffle_memory_budget_bytes = 512 * 1024;
     }
     options.spill_dir = dir.string();
     if (retry) {
@@ -995,51 +1034,41 @@ TEST(MapReduceJobTest, ColumnarMatchesLegacyAcrossTheMatrix) {
     }
     MapReduceJob<uint64_t> job(options);
     std::mutex mu;
-    std::map<int32_t, std::vector<uint64_t>> out;
-    const JobMetrics metrics = job.Run(
-        6,
-        [](size_t task, auto& emit) {
-          // Skewed sizes so the budget spill has distinct "largest" tasks.
-          const uint64_t count = (task + 1) * 1500;
-          for (uint64_t v = 0; v < count; ++v) {
-            emit(static_cast<int32_t>((task * 7 + v) % 23),
-                 task * 1000000 + v);
-          }
-        },
-        [](int32_t, std::span<const uint64_t> values, auto&& emit) {
-          // Order-preserving pairwise sum: collapses records while keeping
-          // the output order dependent on the input order, so any
-          // path-ordering difference shows up in the final values.
-          for (size_t i = 0; i < values.size(); i += 2) {
-            emit(i + 1 < values.size() ? values[i] + values[i + 1]
-                                       : values[i]);
-          }
-        },
+    Output out;
+    std::vector<std::vector<int32_t>> keys_seen(kReducers);
+    const JobMetrics metrics = job.Run(kTasks, map, combine,
         [&](int32_t key, std::span<const uint64_t> values) {
           const std::lock_guard<std::mutex> lock(mu);
+          EXPECT_TRUE(out.find(key) == out.end()) << "key " << key;
           out[key].assign(values.begin(), values.end());
+          keys_seen[static_cast<uint32_t>(key) % kReducers].push_back(key);
         });
     EXPECT_TRUE(metrics.succeeded);
+    for (const std::vector<int32_t>& keys : keys_seen) {
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    }
     if (spill == Spill::kFull) {
-      EXPECT_EQ(metrics.spilled_tasks, 6u);
+      EXPECT_EQ(metrics.spilled_tasks, kTasks);
     } else if (spill == Spill::kBudget) {
       EXPECT_GT(metrics.spilled_tasks, 0u);
-      EXPECT_LT(metrics.spilled_tasks, 6u);
+      EXPECT_LT(metrics.spilled_tasks, kTasks);
     } else {
       EXPECT_EQ(metrics.spilled_tasks, 0u);
     }
     return out;
   };
 
-  for (const Spill spill : {Spill::kOff, Spill::kFull, Spill::kBudget}) {
-    for (const bool combiner : {false, true}) {
+  for (const bool combiner : {false, true}) {
+    const Output expected = reference(combiner);
+    for (const Spill spill : {Spill::kOff, Spill::kFull, Spill::kBudget}) {
       for (const bool retry : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "spill=" << static_cast<int>(spill)
-                     << " combiner=" << combiner << " retry=" << retry);
-        const auto legacy = run(true, spill, combiner, retry);
-        const auto columnar = run(false, spill, combiner, retry);
-        EXPECT_EQ(legacy, columnar);
+        for (const bool on_pool : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "spill=" << static_cast<int>(spill)
+                       << " combiner=" << combiner << " retry=" << retry
+                       << " on_pool=" << on_pool);
+          EXPECT_EQ(run(spill, combiner, retry, on_pool), expected);
+        }
       }
     }
   }
@@ -1116,7 +1145,6 @@ TEST(MapReduceJobTest, SparseKeysFallBackToStableSort) {
   MapReduceJob<uint32_t>::Options options;
   options.num_reduce_tasks = 1;  // Everything meets in one reducer.
   options.num_threads = 2;
-  options.parallel_shuffle = false;
   MapReduceJob<uint32_t> job(options);
   std::vector<std::pair<int32_t, std::vector<uint32_t>>> seen;
   job.Run(
@@ -1142,56 +1170,6 @@ TEST(MapReduceJobTest, SparseKeysFallBackToStableSort) {
     for (size_t i = 1; i < values.size(); ++i) {
       EXPECT_LT(values[i - 1], values[i]);  // Task-major stable order.
     }
-  }
-}
-
-// Value types that are not trivially copyable transparently use the
-// legacy record path — same results, no columnar requirements.
-TEST(MapReduceJobTest, NonTriviallyCopyableValuesUseLegacyPath) {
-  MapReduceJob<std::string>::Options options;
-  options.num_reduce_tasks = 2;
-  options.num_threads = 2;
-  MapReduceJob<std::string> job(options);
-  std::mutex mu;
-  std::map<int32_t, std::string> joined;
-  const JobMetrics metrics = job.Run(
-      3,
-      [](size_t task, auto& emit) {
-        emit(static_cast<int32_t>(task), "t" + std::to_string(task));
-      },
-      [](int32_t, std::span<const std::string> values, auto&& emit) {
-        for (const std::string& v : values) emit(v + "!");
-      },
-      [&](int32_t key, std::span<const std::string> values) {
-        const std::lock_guard<std::mutex> lock(mu);
-        for (const std::string& v : values) joined[key] += v;
-      });
-  EXPECT_EQ(metrics.shuffle_records, 3u);
-  EXPECT_EQ(joined[0], "t0!");
-  EXPECT_EQ(joined[1], "t1!");
-  EXPECT_EQ(joined[2], "t2!");
-}
-
-// An explicit legacy_record_path request wins even for a trivially
-// copyable value (the bench_shuffle ablation baseline).
-TEST(MapReduceJobTest, LegacyRecordPathCanBeForced) {
-  for (const bool legacy : {false, true}) {
-    MapReduceJob<uint32_t>::Options options;
-    options.num_reduce_tasks = 2;
-    options.num_threads = 2;
-    options.legacy_record_path = legacy;
-    MapReduceJob<uint32_t> job(options);
-    std::atomic<uint32_t> sum{0};
-    job.Run(
-        4,
-        [](size_t, auto& emit) {
-          for (uint32_t v = 1; v <= 10; ++v) emit(static_cast<int32_t>(v), v);
-        },
-        nullptr,
-        [&](int32_t, std::span<const uint32_t> values) {
-          for (uint32_t v : values) sum.fetch_add(v);
-        });
-    EXPECT_EQ(sum.load(), 4u * 55u);
   }
 }
 

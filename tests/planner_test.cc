@@ -55,61 +55,6 @@ TEST(VerifySkylineTest, DetectsOutOfRangeAndDuplicates) {
   EXPECT_EQ(violation->kind, SkylineViolation::Kind::kDuplicateMember);
 }
 
-TEST(PlannerTest, LowDimSmallSkylinePicksSortBased) {
-  const PointSet points = MakePoints(Distribution::kCorrelated, 20000, 3, 2);
-  ExecutorOptions base;
-  base.bits = kBits;
-  const PlanDecision decision = PlanQuery(points, base);
-  EXPECT_EQ(decision.options.local, LocalAlgorithm::kSortBased);
-  EXPECT_LT(decision.estimated_skyline_fraction, 0.10);
-  EXPECT_FALSE(decision.rationale.empty());
-}
-
-TEST(PlannerTest, HighDimPicksZSearch) {
-  const PointSet points = MakePoints(Distribution::kIndependent, 20000, 9, 3);
-  ExecutorOptions base;
-  base.bits = kBits;
-  const PlanDecision decision = PlanQuery(points, base);
-  EXPECT_EQ(decision.options.local, LocalAlgorithm::kZSearch);
-  EXPECT_EQ(decision.options.merge, MergeAlgorithm::kPrefixProbe);
-}
-
-TEST(PlannerTest, ExtremeDimDisablesSzbFilter) {
-  const Quantizer q(kBits);
-  const auto values = GenerateClustered(2000, 64, 8, 0.05, 4);
-  const PointSet points = q.QuantizeAll(values, 64);
-  ExecutorOptions base;
-  base.bits = kBits;
-  const PlanDecision decision = PlanQuery(points, base);
-  EXPECT_FALSE(decision.options.enable_szb_filter);
-}
-
-TEST(PlannerTest, PlannedOptionsProduceCorrectSkyline) {
-  for (auto dist : {Distribution::kCorrelated, Distribution::kIndependent,
-                    Distribution::kAnticorrelated}) {
-    const PointSet points = MakePoints(dist, 5000, 4, 5);
-    ExecutorOptions base;
-    base.bits = kBits;
-    const PlanDecision decision = PlanQuery(points, base);
-    const auto result =
-        ParallelSkylineExecutor(decision.options).Execute(points);
-    EXPECT_EQ(result.skyline, BnlSkyline(points))
-        << decision.rationale;
-  }
-}
-
-TEST(PlannerTest, PreservesCallerSettings) {
-  const PointSet points = MakePoints(Distribution::kIndependent, 3000, 4, 6);
-  ExecutorOptions base;
-  base.bits = kBits;
-  base.num_groups = 17;
-  base.num_threads = 3;
-  const PlanDecision decision = PlanQuery(points, base);
-  EXPECT_EQ(decision.options.num_groups, 17u);
-  EXPECT_EQ(decision.options.num_threads, 3u);
-  EXPECT_EQ(decision.options.bits, kBits);
-}
-
 TEST(ChoosePlanTest, CorrelatedLowDimPicksSortBased) {
   // Tiny skyline at low dimensionality: pairwise SB locals are priced far
   // below Z-search (the window stays near 1), so the cost model must land
@@ -138,6 +83,15 @@ TEST(ChoosePlanTest, AnticorrelatedHighDimPicksZSearch) {
   EXPECT_GT(choice.estimated_skyline_fraction, 0.10);
 }
 
+TEST(ChoosePlanTest, ExtremeDimDisablesSzbFilter) {
+  const Quantizer q(kBits);
+  const auto values = GenerateClustered(2000, 64, 8, 0.05, 4);
+  const PointSet points = q.QuantizeAll(values, 64);
+  ExecutorOptions base;
+  base.bits = kBits;
+  EXPECT_FALSE(ChoosePlan(points, base).options.enable_szb_filter);
+}
+
 TEST(ChoosePlanTest, PredictionsCoverEveryCandidate) {
   const PointSet points = MakePoints(Distribution::kIndependent, 8000, 5, 4);
   ExecutorOptions base;
@@ -160,6 +114,38 @@ TEST(ChoosePlanTest, PredictionsCoverEveryCandidate) {
   EXPECT_TRUE(choice.options.num_groups == 8u ||
               choice.options.num_groups == 16u);
   EXPECT_EQ(choice.options.bits, kBits);
+}
+
+// ChoosePlan picks the scheme, local, merge, reducer count, sample ratio
+// and (at extreme dimensionality) the SZB filter; every other caller
+// setting reaches the chosen options untouched.
+TEST(ChoosePlanTest, PreservesCallerSettings) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 3000, 4, 6);
+  ExecutorOptions base;
+  base.bits = kBits;
+  base.num_groups = 17;
+  base.num_threads = 3;
+  base.num_map_tasks = 5;
+  base.expansion = 2;
+  base.enable_combiner = false;
+  base.reuse_worker_pool = false;
+  base.morsel_scheduling = false;
+  base.readahead = false;
+  base.max_task_attempts = 3;
+  base.seed = 99;
+  const ExecutorOptions chosen = ChoosePlan(points, base).options;
+  EXPECT_TRUE(chosen.num_groups == 17u || chosen.num_groups == 34u);
+  EXPECT_EQ(chosen.bits, kBits);
+  EXPECT_EQ(chosen.num_threads, 3u);
+  EXPECT_EQ(chosen.num_map_tasks, 5u);
+  EXPECT_EQ(chosen.expansion, 2u);
+  EXPECT_FALSE(chosen.enable_combiner);
+  EXPECT_FALSE(chosen.reuse_worker_pool);
+  EXPECT_FALSE(chosen.morsel_scheduling);
+  EXPECT_FALSE(chosen.readahead);
+  EXPECT_EQ(chosen.max_task_attempts, 3u);
+  EXPECT_EQ(chosen.seed, 99u);
+  EXPECT_TRUE(chosen.enable_szb_filter);
 }
 
 TEST(ChoosePlanTest, CalibrationScalesPredictions) {

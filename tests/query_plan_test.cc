@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "algo/bnl.h"
+#include "common/dominance.h"
 #include "common/quantizer.h"
 #include "core/executor.h"
 #include "core/planner.h"
@@ -172,6 +176,104 @@ TEST(EstimatePlanCostTest, EmptyInputsYieldZeroEstimate) {
   const PlanCostEstimate estimate = EstimatePlanCost(plan, 0);
   EXPECT_EQ(estimate.expected_shuffle_records, 0u);
   EXPECT_EQ(estimate.expected_candidates, 0u);
+}
+
+// --- BuildSzbFilter: the one construction of the mapper filter. k = 1
+// scans a DominanceBlock over the band's first 4096 points and walks a
+// ZB-tree only for the overflow; k > 1 counts dominators in one tree.
+constexpr size_t kSzbBlockCap = 4096;
+
+bool BruteDominated(const PointSet& band, std::span<const Coord> p) {
+  for (size_t j = 0; j < band.size(); ++j) {
+    if (Dominates(band[j], p)) return true;
+  }
+  return false;
+}
+
+TEST(SzbFilterTest, EmptyBandBuildsNoFilter) {
+  const ZOrderCodec codec(3, kBits);
+  const PointSet band(3);
+  for (const uint32_t k : {1u, 2u}) {
+    EXPECT_TRUE(BuildSzbFilter(&codec, band, k, ZBTree::Options{}).empty())
+        << "k=" << k;
+  }
+}
+
+TEST(SzbFilterTest, BandWithinCapIsOneBlock) {
+  const PointSet band = MakePoints(Distribution::kIndependent, 1000, 3, 21);
+  const ZOrderCodec codec(3, kBits);
+  const SzbFilter filter = BuildSzbFilter(&codec, band, 1, ZBTree::Options{});
+  ASSERT_TRUE(filter.block.has_value());
+  EXPECT_EQ(filter.block->size(), band.size());
+  EXPECT_EQ(filter.tree, nullptr);
+  const PointSet probes = MakePoints(Distribution::kIndependent, 300, 3, 22);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(filter.block->AnyDominates(probes[i]),
+              BruteDominated(band, probes[i]))
+        << "probe " << i;
+  }
+}
+
+// A band past the cap keeps its first kSzbBlockCap points in the block,
+// in band order, and the rest in the tree; together they answer exactly
+// "dominated by some band point". The tail is drawn from the low half of
+// the domain and the head from the high half, so many probes have only
+// tail dominators and the overflow tree must catch them.
+TEST(SzbFilterTest, OversizedBandSplitsBlockAndTree) {
+  constexpr uint32_t kDim = 3;
+  constexpr Coord kHalf = Coord{1} << (kBits - 1);
+  const PointSet raw =
+      MakePoints(Distribution::kIndependent, kSzbBlockCap + 700, kDim, 23);
+  PointSet band(kDim);
+  std::vector<Coord> q(kDim);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    for (uint32_t d = 0; d < kDim; ++d) {
+      q[d] = i < kSzbBlockCap ? kHalf + raw[i][d] / 2 : raw[i][d] / 2;
+    }
+    band.Append(q);
+  }
+  const ZOrderCodec codec(kDim, kBits);
+  const SzbFilter filter = BuildSzbFilter(&codec, band, 1, ZBTree::Options{});
+  ASSERT_TRUE(filter.block.has_value());
+  ASSERT_NE(filter.tree, nullptr);
+  EXPECT_EQ(filter.block->size(), kSzbBlockCap);
+  EXPECT_EQ(filter.tree->size(), band.size() - kSzbBlockCap);
+  for (const size_t i : {size_t{0}, kSzbBlockCap - 1}) {
+    filter.block->CopyPoint(i, q);
+    EXPECT_TRUE(std::equal(q.begin(), q.end(), band[i].begin())) << i;
+  }
+
+  const PointSet probes = MakePoints(Distribution::kIndependent, 400, kDim, 24);
+  size_t tail_only = 0;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const bool by_block = filter.block->AnyDominates(probes[i]);
+    const bool by_tree = filter.tree->ExistsDominatorOf(probes[i]);
+    if (by_tree && !by_block) ++tail_only;
+    EXPECT_EQ(by_block || by_tree, BruteDominated(band, probes[i]))
+        << "probe " << i;
+  }
+  EXPECT_GT(tail_only, 0u);
+}
+
+TEST(SzbFilterTest, KBandIsOneCountingTree) {
+  const PointSet band = MakePoints(Distribution::kIndependent, 1500, 3, 25);
+  const ZOrderCodec codec(3, kBits);
+  constexpr uint32_t kK = 3;
+  const SzbFilter filter =
+      BuildSzbFilter(&codec, band, kK, ZBTree::Options{});
+  EXPECT_FALSE(filter.block.has_value());
+  ASSERT_NE(filter.tree, nullptr);
+  EXPECT_EQ(filter.tree->size(), band.size());
+  const PointSet probes = MakePoints(Distribution::kIndependent, 200, 3, 26);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    size_t brute = 0;
+    for (size_t j = 0; j < band.size(); ++j) {
+      if (Dominates(band[j], probes[i])) ++brute;
+    }
+    EXPECT_EQ(filter.tree->CountDominatorsOf(probes[i], kK),
+              std::min<size_t>(brute, kK))
+        << "probe " << i;
+  }
 }
 
 }  // namespace

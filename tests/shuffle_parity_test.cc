@@ -1,9 +1,9 @@
-// Pipeline-level parity matrix for the zero-copy columnar shuffle (PR 5):
-// the full executor — plan build, candidate job, merge job — must produce
-// a bit-identical skyline on the columnar and the legacy record paths,
-// across the shuffle's memory modes (in-memory, full spill,
-// budget-triggered partial spill), combiner on/off, and injected task
-// retries. Run under ASan and TSan by `scripts/check.sh shuffle`.
+// Pipeline-level parity matrix for the zero-copy columnar shuffle: the
+// full executor — plan build, candidate job, merge job — must produce the
+// BNL skyline bit for bit across the shuffle's memory modes (in-memory,
+// full spill, budget-triggered partial spill), combiner on/off, and
+// injected task retries, moving the same records through the shuffle in
+// every mode. Run under ASan and TSan by `scripts/check.sh shuffle`.
 
 #include <gtest/gtest.h>
 
@@ -54,8 +54,7 @@ std::string ParityCaseName(const ::testing::TestParamInfo<ParityCase>& info) {
 class ShuffleParityTest : public ::testing::TestWithParam<ParityCase> {};
 
 SkylineIndices RunPipeline(const PointSet& points, const ParityCase& c,
-                           bool zero_copy, const std::string& spill_dir,
-                           PhaseMetrics* pm_out) {
+                           const std::string& spill_dir, PhaseMetrics* pm_out) {
   ExecutorOptions options;
   options.partitioning = PartitioningScheme::kZdg;
   options.local = LocalAlgorithm::kZSearch;
@@ -67,7 +66,6 @@ SkylineIndices RunPipeline(const PointSet& points, const ParityCase& c,
   options.num_map_tasks = 7;
   options.num_threads = 4;
   options.enable_combiner = c.combiner;
-  options.zero_copy_shuffle = zero_copy;
   options.spill_dir = spill_dir;
   switch (c.spill) {
     case SpillMode::kInMemory:
@@ -96,7 +94,7 @@ SkylineIndices RunPipeline(const PointSet& points, const ParityCase& c,
   return result.skyline;
 }
 
-TEST_P(ShuffleParityTest, ColumnarAndLegacySkylinesAreBitIdentical) {
+TEST_P(ShuffleParityTest, SkylineMatchesOracle) {
   namespace fs = std::filesystem;
   const ParityCase& c = GetParam();
   // Per-test-case directory: parameterized cases run as concurrent
@@ -110,34 +108,29 @@ TEST_P(ShuffleParityTest, ColumnarAndLegacySkylinesAreBitIdentical) {
                                             4000, 6, 99, Quantizer(kBits));
   const SkylineIndices oracle = BnlSkyline(points);
 
-  PhaseMetrics pm_columnar;
-  PhaseMetrics pm_legacy;
-  const SkylineIndices columnar =
-      RunPipeline(points, c, /*zero_copy=*/true, dir.string(), &pm_columnar);
-  const SkylineIndices legacy =
-      RunPipeline(points, c, /*zero_copy=*/false, dir.string(), &pm_legacy);
+  PhaseMetrics pm;
+  PhaseMetrics pm_plain;
+  const SkylineIndices skyline = RunPipeline(points, c, dir.string(), &pm);
+  const ParityCase plain{SpillMode::kInMemory, c.combiner, /*retry=*/false};
+  RunPipeline(points, plain, dir.string(), &pm_plain);
 
-  EXPECT_EQ(columnar, legacy);
-  EXPECT_EQ(columnar, oracle);
-  // Identical work moved through the shuffle on both paths.
-  EXPECT_EQ(pm_columnar.job1.shuffle_records, pm_legacy.job1.shuffle_records);
-  EXPECT_EQ(pm_columnar.job2.shuffle_records, pm_legacy.job2.shuffle_records);
+  EXPECT_EQ(skyline, oracle);
+  // Spills and retries move exactly the records an in-memory,
+  // failure-free run moves.
+  EXPECT_EQ(pm.job1.shuffle_records, pm_plain.job1.shuffle_records);
+  EXPECT_EQ(pm.job2.shuffle_records, pm_plain.job2.shuffle_records);
   if (c.spill == SpillMode::kFullSpill) {
-    EXPECT_GT(pm_columnar.job1.spill_bytes, 0u);
-    EXPECT_GT(pm_legacy.job1.spill_bytes, 0u);
-    EXPECT_EQ(pm_columnar.job1.spilled_tasks,
-              static_cast<size_t>(pm_columnar.job1.map_tasks.size()));
+    EXPECT_GT(pm.job1.spill_bytes, 0u);
+    EXPECT_EQ(pm.job1.spilled_tasks,
+              static_cast<size_t>(pm.job1.map_tasks.size()));
   }
   if (c.spill == SpillMode::kBudget) {
     // The budget actually triggered a partial spill in job 1.
-    EXPECT_GT(pm_columnar.job1.spilled_tasks, 0u);
-    EXPECT_LT(pm_columnar.job1.spilled_tasks,
-              pm_columnar.job1.map_tasks.size());
+    EXPECT_GT(pm.job1.spilled_tasks, 0u);
+    EXPECT_LT(pm.job1.spilled_tasks, pm.job1.map_tasks.size());
   }
   if (c.retry) {
-    EXPECT_GT(pm_columnar.job1.failed_attempts, 0u);
-    EXPECT_EQ(pm_columnar.job1.failed_attempts,
-              pm_legacy.job1.failed_attempts);
+    EXPECT_GT(pm.job1.failed_attempts, 0u);
   }
 
   // No spill files may survive a query on any path.

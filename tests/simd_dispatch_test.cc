@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "algo/bnl.h"
+#include "algo/skyline.h"
+#include "algo/sort_based.h"
 #include "common/cpu.h"
 #include "common/dominance.h"
 #include "common/dominance_block.h"
@@ -16,6 +20,7 @@
 #include "common/point_set.h"
 #include "common/rng.h"
 #include "core/executor.h"
+#include "core/query_plan.h"
 #include "gen/synthetic.h"
 #include "index/zbtree.h"
 #include "zorder/zorder_codec.h"
@@ -360,10 +365,38 @@ TEST(KernelIsaParityTest, TreeProbesAgreeAcrossTiers) {
   }
 }
 
+// BNL and SB scan their windows only through the block kernel, so each
+// tier must reproduce the naive skyline on its own: windows of hundreds
+// of points that end mid-tile, duplicate-heavy inputs (ties are never
+// dominance), and the 1- and 16-dimensional edges of the lane layout.
+TEST(KernelIsaParityTest, BnlAndSortBasedMatchNaiveOnEveryTier) {
+  ScopedIsa guard;
+  const Quantizer q(12);
+  std::vector<std::pair<std::string, PointSet>> inputs;
+  inputs.emplace_back(
+      "anti_1500x4",
+      GenerateQuantized(Distribution::kAnticorrelated, 1500, 4, 31, q));
+  inputs.emplace_back(
+      "indep_1200x7",
+      GenerateQuantized(Distribution::kIndependent, 1200, 7, 32, q));
+  inputs.emplace_back("ties_2000x5", RandomBatch(5, 2000, 33, 6));
+  inputs.emplace_back("ties_500x1", RandomBatch(1, 500, 34, 40));
+  inputs.emplace_back("ties_600x16", RandomBatch(16, 600, 35, 3));
+  for (const auto& [name, points] : inputs) {
+    const SkylineIndices oracle = NaiveSkyline(points);
+    for (Isa isa : SupportedIsas()) {
+      SetActiveIsa(isa);
+      EXPECT_EQ(BnlSkyline(points), oracle) << name << " " << IsaName(isa);
+      EXPECT_EQ(SortBasedSkyline(points), oracle)
+          << name << " " << IsaName(isa);
+    }
+  }
+}
+
 // The whole pipeline must return the identical skyline under every
 // dispatch tier (codec words, tree shapes and kernel answers all shift,
-// the result may not). Also covers the batched SZB filter toggle.
-TEST(ExecutorIsaInvarianceTest, SkylineIdenticalAcrossTiersAndFilterModes) {
+// the result may not).
+TEST(ExecutorIsaInvarianceTest, SkylineIdenticalAcrossTiers) {
   ScopedIsa guard;
   const PointSet points = GenerateQuantized(Distribution::kAnticorrelated,
                                             20000, 8, 42, Quantizer(16));
@@ -377,42 +410,38 @@ TEST(ExecutorIsaInvarianceTest, SkylineIdenticalAcrossTiersAndFilterModes) {
   options.bits = 16;
 
   SetActiveIsa(Isa::kScalar);
-  options.batch_szb_filter = false;
   const SkylineIndices reference =
       ParallelSkylineExecutor(options).Execute(points).skyline;
   ASSERT_FALSE(reference.empty());
 
   for (Isa isa : SupportedIsas()) {
     SetActiveIsa(isa);
-    for (bool batch : {false, true}) {
-      options.batch_szb_filter = batch;
-      const SkylineIndices skyline =
-          ParallelSkylineExecutor(options).Execute(points).skyline;
-      EXPECT_EQ(skyline, reference)
-          << IsaName(isa) << " batch_szb_filter=" << batch;
-    }
+    const SkylineIndices skyline =
+        ParallelSkylineExecutor(options).Execute(points).skyline;
+    EXPECT_EQ(skyline, reference) << IsaName(isa);
   }
 }
 
 // Oversized sample skylines split the batched filter into block + rest
-// tree; force that split with a tiny workload by checking the toggle on a
-// high-dim anticorrelated set (large skyline fraction).
-TEST(ExecutorIsaInvarianceTest, BatchedFilterSplitMatchesTreeWalk) {
+// tree; force that split with a small workload on a high-dim
+// anticorrelated set (large skyline fraction): a 6000-point sample whose
+// skyline exceeds the 4096-point block.
+TEST(ExecutorIsaInvarianceTest, BatchedFilterSplitMatchesBnl) {
   const PointSet points = GenerateQuantized(Distribution::kAnticorrelated,
-                                            6000, 10, 7, Quantizer(16));
+                                            12000, 10, 7, Quantizer(16));
   ExecutorOptions options;
   options.num_groups = 4;
   options.num_map_tasks = 4;
   options.num_threads = 2;
   options.bits = 16;
   options.sample_ratio = 0.5;  // Big sample -> sample skyline > block cap.
-  options.batch_szb_filter = true;
+  const PreparedPlan plan = PreparePlan(points, options);
+  ASSERT_TRUE(plan.szb_block.has_value());
+  ASSERT_NE(plan.szb_tree, nullptr)  // The split actually happened.
+      << "sample skyline " << plan.sample_skyline.size();
   const SkylineIndices batched =
-      ParallelSkylineExecutor(options).Execute(points).skyline;
-  options.batch_szb_filter = false;
-  const SkylineIndices walked =
-      ParallelSkylineExecutor(options).Execute(points).skyline;
-  EXPECT_EQ(batched, walked);
+      ParallelSkylineExecutor(options).ExecuteWithPlan(plan, points).skyline;
+  EXPECT_EQ(batched, BnlSkyline(points));
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-# CLI smoke test driven by CTest: gen -> query (+plan/topk) -> skyband.
+# CLI smoke test driven by CTest: gen -> query (+plan/topk) -> skyband,
+# which must print the rows of query --k.
 set(DATA "${WORK_DIR}/cli_smoke.csv")
 
 execute_process(
@@ -42,6 +43,22 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT out MATCHES "2-skyband rows")
   message(FATAL_ERROR "skyband output missing:\n${out}")
+endif()
+
+# `skyband --k 2` is `query --k 2`: the same row ids under each header.
+execute_process(
+  COMMAND ${CLI} query --in ${DATA} --k 2
+  RESULT_VARIABLE rc OUTPUT_VARIABLE query_out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "query --k 2 failed: ${rc}")
+endif()
+string(FIND "${out}" "\n" band_eol)
+string(SUBSTRING "${out}" ${band_eol} -1 band_rows)
+string(FIND "${query_out}" "\n" query_eol)
+string(SUBSTRING "${query_out}" ${query_eol} -1 query_rows)
+if(NOT band_rows STREQUAL query_rows)
+  message(FATAL_ERROR "skyband --k 2 and query --k 2 rows differ:\n"
+                      "${out}\nvs\n${query_out}")
 endif()
 
 file(REMOVE ${DATA})

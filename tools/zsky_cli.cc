@@ -534,14 +534,17 @@ int RunSkyband(const std::map<std::string, std::string>& flags) {
   }
   const Quantizer quantizer(16);
   const PointSet points = TableToPoints(*table, {}, quantizer);
-  SkybandOptions options;
-  options.k = static_cast<uint32_t>(
-      std::strtoul(Flag(flags, "k", "2").c_str(), nullptr, 10));
+  // The k-skyband is the pipeline's `query --k K`: a QueryDesc variant.
+  ExecutorOptions options;
   options.num_groups = static_cast<uint32_t>(
       std::strtoul(Flag(flags, "groups", "8").c_str(), nullptr, 10));
   options.bits = quantizer.bits();
-  const SkylineQueryResult result = DistributedSkyband(points, options);
-  std::printf("%u-skyband rows (%zu of %zu):\n", options.k,
+  QueryDesc desc;
+  desc.k = static_cast<uint32_t>(
+      std::strtoul(Flag(flags, "k", "2").c_str(), nullptr, 10));
+  const SkylineQueryResult result =
+      ParallelSkylineExecutor(options).Execute(points, desc);
+  std::printf("%u-skyband rows (%zu of %zu):\n", desc.k,
               result.skyline.size(), table->rows);
   for (uint32_t row : result.skyline) std::printf("%u\n", row);
   if (flags.count("metrics") != 0) {
