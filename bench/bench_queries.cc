@@ -1,6 +1,6 @@
 // Query-variant bench: constraint-selectivity sweep over the desc-aware
 // pipeline. For each box selectivity the constrained path (warm prepared
-// plan + RZ-region pruning + per-point box test, docs/queries.md) races
+// plan + a box test before each row is routed, docs/queries.md) races
 // what a desc-less system would do with the same warm plan: run the full
 // skyline and post-filter its rows to the box. That baseline is not even
 // correct in general — an in-box point dominated only by out-of-box

@@ -62,10 +62,12 @@
 # inserts/sec vs the committed BENCH_updates.json baseline.
 #
 # `scripts/check.sh outofcore` exercises the mmap-backed .zsc subsystem:
-# a CLI gen -> convert -> query round trip, the format/corruption/parity
-# and columnar-direct tests under AddressSanitizer (mmap-vs-heap
-# bit-identity, bounded residency, SetDatasetFile, direct-vs-cursor
-# parity, sketch pruning), the readahead worker torture under
+# a CLI gen -> convert -> query round trip (the plain query, a box, a box
+# with flips, k = 2 and a subspace, csv vs .zsc byte for byte), the
+# format/corruption/parity and columnar-direct tests under
+# AddressSanitizer (mmap-vs-heap bit-identity, bounded residency,
+# SetDatasetFile, direct-vs-heap parity for every desc kind, sketch
+# pruning), the readahead worker torture under
 # ThreadSanitizer, then bench_outofcore in Release — which itself fails
 # if the budget-bounded run's peak RSS exceeds base + budget + allowance
 # or the direct run transposes any bytes — plus >10% gates on warm
@@ -269,6 +271,20 @@ if [ "${1:-}" = "outofcore" ]; then
     exit 1
   fi
   echo "OK: csv and .zsc query output identical ($(head -1 "$rt/heap.txt"))"
+  # Every desc kind runs job 1's column-direct wave on the .zsc and the
+  # row scan on the csv's heap copy: the outputs must match byte for byte.
+  box="--lo 0,5000,0,0,5000,0 --hi 45000,50000,45000,45000,60000,45000"
+  for variant in "$box" "$box --flip 1,4" "--k 2" "--dims 0,2,3,5"; do
+    # shellcheck disable=SC2086  # $variant is a list of flags.
+    ./build/tools/zsky_cli query --in "$rt/rt.csv" $variant > "$rt/heap.txt"
+    # shellcheck disable=SC2086
+    ./build/tools/zsky_cli query --in "$rt/rt.zsc" $variant > "$rt/mmap.txt"
+    if ! cmp -s "$rt/heap.txt" "$rt/mmap.txt"; then
+      echo "FAIL: csv and .zsc output differ for: $variant"
+      exit 1
+    fi
+    echo "OK: identical for $variant ($(head -1 "$rt/heap.txt"))"
+  done
 
   echo "=== Columnar format + out-of-core parity tests under ASan ==="
   cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -11,20 +11,20 @@ namespace simd {
 namespace {
 
 constexpr KernelTable kScalarTable = {
-    AnyDominatesScalar,     CountDominatorsScalar,
-    MarkDominatedByScalar,  MaskAnyDominatedScalar,
-    NodeTestScalar,         TreeAnyDominatesScalar,
-    TreeCountDominatorsScalar};
+    AnyDominatesScalar,       CountDominatorsScalar,
+    MarkDominatedByScalar,    MaskAnyDominatedScalar,
+    MaskInBoxScalar,          NodeTestScalar,
+    TreeAnyDominatesScalar,   TreeCountDominatorsScalar};
 constexpr KernelTable kSse42Table = {
-    AnyDominatesSse42,     CountDominatorsSse42,
-    MarkDominatedBySse42,  MaskAnyDominatedSse42,
-    NodeTestSse42,         TreeAnyDominatesSse42,
-    TreeCountDominatorsSse42};
+    AnyDominatesSse42,       CountDominatorsSse42,
+    MarkDominatedBySse42,    MaskAnyDominatedSse42,
+    MaskInBoxSse42,          NodeTestSse42,
+    TreeAnyDominatesSse42,   TreeCountDominatorsSse42};
 constexpr KernelTable kAvx2Table = {
-    AnyDominatesAvx2,     CountDominatorsAvx2,
-    MarkDominatedByAvx2,  MaskAnyDominatedAvx2,
-    NodeTestAvx2,         TreeAnyDominatesAvx2,
-    TreeCountDominatorsAvx2};
+    AnyDominatesAvx2,       CountDominatorsAvx2,
+    MarkDominatedByAvx2,    MaskAnyDominatedAvx2,
+    MaskInBoxAvx2,          NodeTestAvx2,
+    TreeAnyDominatesAvx2,   TreeCountDominatorsAvx2};
 
 }  // namespace
 
@@ -78,6 +78,13 @@ size_t SoAMaskAnyDominated(const Coord* base, size_t stride, uint32_t dim,
   return simd::ActiveKernelTable().mask_any_dominated(
       base, stride, dim, begin, end, filt, filt_stride, filt_size, pruning,
       out);
+}
+
+size_t SoAMaskInBox(const Coord* base, size_t stride, uint32_t dim,
+                    size_t begin, size_t end, const Coord* lo,
+                    const Coord* hi, uint8_t* out) {
+  return simd::ActiveKernelTable().mask_in_box(base, stride, dim, begin, end,
+                                               lo, hi, out);
 }
 
 namespace {

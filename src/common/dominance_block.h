@@ -61,6 +61,15 @@ size_t SoAMaskAnyDominated(const Coord* base, size_t stride, uint32_t dim,
                            const simd::MaskFilterPruning* pruning,
                            uint8_t* out);
 
+// Column-at-a-time box test for the columnar-direct map wave: flags every
+// row in [begin, end) that lies inside the inclusive box [lo, hi] on every
+// dimension (unsigned compares): out[i - begin] = 1 iff row i is in the
+// box. `lo` and `hi` hold `dim` coordinates. Returns the number of in-box
+// rows.
+size_t SoAMaskInBox(const Coord* base, size_t stride, uint32_t dim,
+                    size_t begin, size_t end, const Coord* lo,
+                    const Coord* hi, uint8_t* out);
+
 // A growable batch of points in structure-of-arrays layout, answering
 // dominance questions against the whole batch with the kernels above.
 // Skyline windows (sort-based BNL passes, the BNL window itself) are the

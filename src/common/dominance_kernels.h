@@ -80,6 +80,14 @@ using MaskAnyDominatedFn = size_t (*)(const Coord* base, size_t stride,
                                       const MaskFilterPruning* pruning,
                                       uint8_t* out);
 
+// The columnar-direct box test: for each wave row i in [begin, end), sets
+// out[i - begin] to 1 iff lo[k] <= row[k] <= hi[k] on every dimension k
+// (unsigned, inclusive); returns the number of in-box rows. Plain
+// compares with no early exit, so every tier's bitmap is the same.
+using MaskInBoxFn = size_t (*)(const Coord* base, size_t stride, uint32_t dim,
+                               size_t begin, size_t end, const Coord* lo,
+                               const Coord* hi, uint8_t* out);
+
 // Filter points per tile / tiles per supertile of the min-pruning index.
 inline constexpr size_t kMaskTilePoints = 8;
 inline constexpr size_t kMaskTilesPerSuper = 8;
@@ -146,6 +154,7 @@ struct KernelTable {
   CountDominatorsFn count_dominators;
   MarkDominatedByFn mark_dominated_by;
   MaskAnyDominatedFn mask_any_dominated;
+  MaskInBoxFn mask_in_box;
   NodeTestFn node_test;
   TreeAnyDominatesFn tree_any_dominates;
   TreeCountDominatorsFn tree_count_dominators;
@@ -175,6 +184,9 @@ size_t MaskAnyDominatedScalar(const Coord* base, size_t stride, uint32_t dim,
                               size_t filt_stride, size_t filt_size,
                               const MaskFilterPruning* pruning,
                               uint8_t* out);
+size_t MaskInBoxScalar(const Coord* base, size_t stride, uint32_t dim,
+                             size_t begin, size_t end, const Coord* lo,
+                             const Coord* hi, uint8_t* out);
 uint32_t NodeTestScalar(const Coord* bounds, uint32_t lanes, const Coord* p);
 bool TreeAnyDominatesScalar(const BoundsTreeView& tree, const Coord* p,
                             size_t slot_end);
@@ -193,6 +205,9 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
                              size_t filt_stride, size_t filt_size,
                              const MaskFilterPruning* pruning,
                              uint8_t* out);
+size_t MaskInBoxSse42(const Coord* base, size_t stride, uint32_t dim,
+                            size_t begin, size_t end, const Coord* lo,
+                            const Coord* hi, uint8_t* out);
 uint32_t NodeTestSse42(const Coord* bounds, uint32_t lanes, const Coord* p);
 bool TreeAnyDominatesSse42(const BoundsTreeView& tree, const Coord* p,
                            size_t slot_end);
@@ -211,6 +226,9 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
                             size_t filt_stride, size_t filt_size,
                             const MaskFilterPruning* pruning,
                             uint8_t* out);
+size_t MaskInBoxAvx2(const Coord* base, size_t stride, uint32_t dim,
+                           size_t begin, size_t end, const Coord* lo,
+                           const Coord* hi, uint8_t* out);
 uint32_t NodeTestAvx2(const Coord* bounds, uint32_t lanes, const Coord* p);
 bool TreeAnyDominatesAvx2(const BoundsTreeView& tree, const Coord* p,
                           size_t slot_end);

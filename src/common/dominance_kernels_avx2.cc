@@ -227,6 +227,47 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+size_t MaskInBoxAvx2(const Coord* base, size_t stride, uint32_t dim,
+                     size_t begin, size_t end, const Coord* lo,
+                     const Coord* hi, uint8_t* out) {
+  int32_t lof[kMaxVectorDim];
+  int32_t hif[kMaxVectorDim];
+  if (!FlipProbe(lo, dim, lof) || !FlipProbe(hi, dim, hif)) {
+    return MaskInBoxScalar(base, stride, dim, begin, end, lo, hi, out);
+  }
+  const __m256i sign = _mm256_set1_epi32(INT32_MIN);
+  const __m128i one = _mm_set1_epi8(1);
+  size_t count = 0;
+  size_t at = begin;
+  for (; at + 8 <= end; at += 8) {
+    // Lanes below lo or above hi on some dimension seen so far.
+    __m256i outside = _mm256_setzero_si256();
+    for (uint32_t k = 0; k < dim; ++k) {
+      const __m256i v = _mm256_xor_si256(
+          _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(base + k * stride + at)),
+          sign);
+      outside = _mm256_or_si256(
+          outside,
+          _mm256_or_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(lof[k]), v),
+                          _mm256_cmpgt_epi32(v, _mm256_set1_epi32(hif[k]))));
+    }
+    const __m256i in = _mm256_andnot_si256(outside, _mm256_set1_epi32(-1));
+    // Narrow the 8 all-ones/zero lanes to 0/1 bytes.
+    const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(in),
+                                      _mm256_extracti128_si256(in, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + (at - begin)),
+                     _mm_and_si128(_mm_packs_epi16(w, w), one));
+    count += static_cast<size_t>(std::popcount(static_cast<uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(in)))));
+  }
+  if (at < end) {
+    count += MaskInBoxScalar(base, stride, dim, at, end, lo, hi,
+                             out + (at - begin));
+  }
+  return count;
+}
+
 uint32_t NodeTestAvx2(const Coord* bounds, uint32_t lanes, const Coord* p) {
   // Unsigned a <= b  <=>  min(a, b) == a: no sign flip needed.
   const __m256i ones = _mm256_set1_epi32(-1);
@@ -309,6 +350,12 @@ size_t MaskAnyDominatedAvx2(const Coord* base, size_t stride, uint32_t dim,
                             const MaskFilterPruning* pruning, uint8_t* out) {
   return MaskAnyDominatedScalar(base, stride, dim, begin, end, filt,
                                 filt_stride, filt_size, pruning, out);
+}
+
+size_t MaskInBoxAvx2(const Coord* base, size_t stride, uint32_t dim,
+                     size_t begin, size_t end, const Coord* lo,
+                     const Coord* hi, uint8_t* out) {
+  return MaskInBoxScalar(base, stride, dim, begin, end, lo, hi, out);
 }
 
 uint32_t NodeTestAvx2(const Coord* bounds, uint32_t lanes, const Coord* p) {

@@ -159,6 +159,29 @@ size_t MaskAnyDominatedScalar(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+size_t MaskInBoxScalar(const Coord* base, size_t stride, uint32_t dim,
+                       size_t begin, size_t end, const Coord* lo,
+                       const Coord* hi, uint8_t* out) {
+  // Tile by tile, one contiguous lane per dimension AND-ed into the tile's
+  // flags: a loop the compiler auto-vectorizes.
+  size_t count = 0;
+  for (size_t at = begin; at < end; at += kDominanceTile) {
+    const size_t m = std::min(kDominanceTile, end - at);
+    uint8_t* slab = out + (at - begin);
+    std::fill_n(slab, m, uint8_t{1});
+    for (uint32_t k = 0; k < dim; ++k) {
+      const Coord* lane = base + k * stride + at;
+      const Coord lk = lo[k];
+      const Coord hk = hi[k];
+      for (size_t j = 0; j < m; ++j) {
+        slab[j] &= static_cast<uint8_t>((lane[j] >= lk) & (lane[j] <= hk));
+      }
+    }
+    for (size_t j = 0; j < m; ++j) count += slab[j];
+  }
+  return count;
+}
+
 uint32_t NodeTestScalar(const Coord* bounds, uint32_t lanes, const Coord* p) {
   const Coord* max = bounds + lanes;
   bool may = true;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 namespace zsky::simd {
 
@@ -223,6 +224,48 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
   return count;
 }
 
+size_t MaskInBoxSse42(const Coord* base, size_t stride, uint32_t dim,
+                      size_t begin, size_t end, const Coord* lo,
+                      const Coord* hi, uint8_t* out) {
+  int32_t lof[kMaxVectorDim];
+  int32_t hif[kMaxVectorDim];
+  if (!FlipProbe(lo, dim, lof) || !FlipProbe(hi, dim, hif)) {
+    return MaskInBoxScalar(base, stride, dim, begin, end, lo, hi, out);
+  }
+  const __m128i sign = _mm_set1_epi32(INT32_MIN);
+  const __m128i one = _mm_set1_epi8(1);
+  size_t count = 0;
+  size_t at = begin;
+  for (; at + 4 <= end; at += 4) {
+    // Lanes below lo or above hi on some dimension seen so far.
+    __m128i outside = _mm_setzero_si128();
+    for (uint32_t k = 0; k < dim; ++k) {
+      const __m128i v = _mm_xor_si128(
+          _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(base + k * stride + at)),
+          sign);
+      outside = _mm_or_si128(
+          outside,
+          _mm_or_si128(_mm_cmpgt_epi32(_mm_set1_epi32(lof[k]), v),
+                       _mm_cmpgt_epi32(v, _mm_set1_epi32(hif[k]))));
+    }
+    const __m128i in = _mm_andnot_si128(outside, _mm_set1_epi32(-1));
+    // Narrow the 4 all-ones/zero lanes to 0/1 bytes.
+    const __m128i w = _mm_packs_epi32(in, in);
+    const int32_t bytes =
+        _mm_cvtsi128_si32(_mm_and_si128(_mm_packs_epi16(w, w), one));
+    std::memcpy(out + (at - begin), &bytes, sizeof(bytes));
+    count += static_cast<size_t>(
+        std::popcount(static_cast<uint32_t>(_mm_movemask_ps(
+            _mm_castsi128_ps(in)))));
+  }
+  if (at < end) {
+    count += MaskInBoxScalar(base, stride, dim, at, end, lo, hi,
+                             out + (at - begin));
+  }
+  return count;
+}
+
 uint32_t NodeTestSse42(const Coord* bounds, uint32_t lanes,
                        const Coord* p) {
   // Unsigned a <= b  <=>  min(a, b) == a (SSE4.1 pminud).
@@ -303,6 +346,12 @@ size_t MaskAnyDominatedSse42(const Coord* base, size_t stride, uint32_t dim,
                              const MaskFilterPruning* pruning, uint8_t* out) {
   return MaskAnyDominatedScalar(base, stride, dim, begin, end, filt,
                                 filt_stride, filt_size, pruning, out);
+}
+
+size_t MaskInBoxSse42(const Coord* base, size_t stride, uint32_t dim,
+                      size_t begin, size_t end, const Coord* lo,
+                      const Coord* hi, uint8_t* out) {
+  return MaskInBoxScalar(base, stride, dim, begin, end, lo, hi, out);
 }
 
 uint32_t NodeTestSse42(const Coord* bounds, uint32_t lanes,

@@ -27,7 +27,7 @@ namespace zsky {
 //
 //  - The *constraint box* (box_lo/box_hi): pure per-query state. It never
 //    invalidates any cached artifact — the pipeline derives an in-box
-//    sample filter and RZ-region prune table at query time. This is the
+//    sample filter and its region counts at query time. This is the
 //    warm-path invariant: two queries differing only in the box share the
 //    plan AND the variant.
 struct QueryDesc {

@@ -17,8 +17,9 @@ namespace zsky {
 // level gauge. Everything uses relaxed ordering: these are statistics, not
 // synchronization.
 struct ScanCounters {
-  // Bytes copied by RowBlockCursor's columnar->row-major transpose. The
-  // columnar-direct map wave exists to keep this at zero.
+  // Bytes copied by RowBlockCursor's columnar->row-major transpose. Job
+  // 1's columnar-direct map wave adds nothing to it; the write path's
+  // witness assignment and merge gather over a `.zsc` base still do.
   std::atomic<uint64_t> transpose_bytes{0};
 
   // Bytes touched by the async readahead worker (pages pulled ahead of

@@ -147,25 +147,15 @@ bool IsZScheme(PartitioningScheme scheme) {
          scheme == PartitioningScheme::kZdg;
 }
 
-// Per-region routing decision of the desc-aware mapper. The mapper routes
-// FIRST (one encode + partition lookup), so a kDropBox region rejects its
-// points before the per-point box test or filter probe ever runs — the
-// structural constraint-pruning win over post-filtering.
-enum class RouteState : uint8_t {
-  kRoute,           // Route via group[]; per-point box test required.
-  kRouteInsideBox,  // Region entirely inside the box: skip the box test.
-  kDropBox,         // Region entirely outside the box: drop the point.
-};
-
-// The per-query routing state: a region table over the partitioner's
-// partitions (Z-order schemes) or cells (grid), plus the resolved mapper
-// filter. Built once per query by BuildQueryRouting; everything here is
-// box-dependent and therefore deliberately NOT cached in the plan or its
-// variants (the shape/box split of common/query_desc.h).
+// The per-query routing state: the resolved mapper filter, the box's
+// region count, and (when ZDG's static pruning must be revisited) a
+// per-partition group table. Built once per query by BuildQueryRouting;
+// everything here is box-dependent and therefore deliberately NOT cached
+// in the plan or its variants (the shape/box split of common/query_desc.h).
 struct QueryRouting {
-  bool table_active = false;
-  std::vector<RouteState> state;  // Per partition (Z) / cell (grid).
-  std::vector<int32_t> group;     // Resolved group per partition/cell.
+  // Group per Z-order partition, with ZDG's pruned partitions rerouted;
+  // empty when the partitioner's own GroupOf routes every row.
+  std::vector<int32_t> group;
   size_t regions_pruned_by_box = 0;
   // Constrained filter: skyline/k-band of the IN-BOX sample points in
   // query space. The plan's full-space filter is unsound under a box (a
@@ -187,16 +177,6 @@ bool RegionOutsideBox(const RZRegion& region, std::span<const Coord> tlo,
     if (rmin[j] > thi[j] || rmax[j] < tlo[j]) return true;
   }
   return false;
-}
-
-bool RegionInsideBox(const RZRegion& region, std::span<const Coord> tlo,
-                     std::span<const Coord> thi) {
-  const std::span<const Coord> rmin = region.min_corner();
-  const std::span<const Coord> rmax = region.max_corner();
-  for (size_t j = 0; j < tlo.size(); ++j) {
-    if (rmin[j] < tlo[j] || rmax[j] > thi[j]) return false;
-  }
-  return true;
 }
 
 void BuildQueryRouting(QueryRouting& r, const PreparedPlan& plan,
@@ -249,21 +229,19 @@ void BuildQueryRouting(QueryRouting& r, const PreparedPlan& plan,
     r.probe_tree = v.filter.tree.get();
   }
 
-  // Transform the box into query space: per selected dim j (original dim
-  // d), a flipped dim maps [lo, hi] to [max - hi, max - lo]. Track whether
-  // the box constrains any UNprojected dim — if so, a region lying inside
-  // the projected box does not imply its points pass the full box test.
-  std::vector<Coord> tlo;
-  std::vector<Coord> thi;
-  bool box_all_projected = true;
-  if (desc.has_box()) {
+  // Regions (Z-order partitions or grid cells, in query space) that the
+  // box misses. A count for the metrics only: the map wave tests the box
+  // on every row before routing it, and an in-box row never lies in a
+  // box-disjoint region. Angle/quadtree/random partitions have no
+  // coordinate-box region, so they count none.
+  if (desc.has_box() && (zgroup != nullptr || grid != nullptr)) {
+    // Transform the box into query space: per selected dim j (original
+    // dim d), a flipped dim maps [lo, hi] to [max - hi, max - lo].
     const size_t vdim = v.dims.size();
-    tlo.resize(vdim);
-    thi.resize(vdim);
-    std::vector<uint8_t> selected(plan.dim, 0);
+    std::vector<Coord> tlo(vdim);
+    std::vector<Coord> thi(vdim);
     for (size_t j = 0; j < vdim; ++j) {
       const uint32_t d = v.dims[j];
-      selected[d] = 1;
       if (v.flip[j] != 0) {
         // Clamp to the coordinate domain first: data never exceeds
         // max_coord, so the clamp is membership-preserving and keeps the
@@ -277,71 +255,38 @@ void BuildQueryRouting(QueryRouting& r, const PreparedPlan& plan,
         thi[j] = desc.box_hi[d];
       }
     }
-    for (uint32_t d = 0; d < plan.dim; ++d) {
-      if (selected[d] == 0 &&
-          (desc.box_lo[d] > 0 || desc.box_hi[d] < max_coord)) {
-        box_all_projected = false;
+    if (zgroup != nullptr) {
+      for (size_t i = 0; i < zgroup->num_partitions(); ++i) {
+        if (RegionOutsideBox(zgroup->partition_region(i), tlo, thi)) {
+          ++r.regions_pruned_by_box;
+        }
+      }
+    } else {
+      for (uint32_t c = 0; c < grid->num_groups(); ++c) {
+        if (RegionOutsideBox(grid->CellRegion(c, vcodec.max_coord()), tlo,
+                             thi)) {
+          ++r.regions_pruned_by_box;
+        }
       }
     }
   }
 
-  if (zgroup != nullptr) {
-    // Z-order schemes: the partitions are RZ-regions in query space. A
-    // table is needed when a box can prune regions, or when ZDG's static
-    // partition pruning must be revisited (its "fully dominated" proof
-    // uses unconstrained 1-dominance, so it is unsound under a box — the
-    // dominating region may lie outside it — and under k > 1, where k
-    // dominators are needed).
-    const bool need_table =
-        desc.has_box() ||
-        (desc.k > 1 && zgroup->pruned_partition_count() > 0);
-    if (!need_table) return;
+  // ZDG's static partition pruning proves a partition fully dominated
+  // with unconstrained 1-dominance, so it is unsound under a box (the
+  // dominating region may lie outside it) and under k > 1 (k dominators
+  // are needed). Such queries reroute the pruned partitions instead of
+  // dropping their rows. Grouping is result-invariant (it only shapes load
+  // balance), so any deterministic assignment is correct.
+  if (zgroup != nullptr && zgroup->pruned_partition_count() > 0 &&
+      (desc.has_box() || desc.k > 1)) {
     const size_t nparts = zgroup->num_partitions();
-    r.table_active = true;
-    r.state.assign(nparts, RouteState::kRoute);
-    r.group.assign(nparts, 0);
+    r.group.resize(nparts);
     for (size_t i = 0; i < nparts; ++i) {
-      const RZRegion& region = zgroup->partition_region(i);
-      if (desc.has_box() && RegionOutsideBox(region, tlo, thi)) {
-        r.state[i] = RouteState::kDropBox;
-        ++r.regions_pruned_by_box;
-        continue;
-      }
       const int32_t g = zgroup->group_of_partition(i);
-      if (g == kDroppedGroup) {
-        // Reroute instead of dropping (see above). Grouping is
-        // result-invariant — it only shapes load balance — so any
-        // deterministic assignment is correct.
-        r.group[i] = static_cast<int32_t>(i % num_groups);
-      } else {
-        r.group[i] = g;
-        if (desc.has_box() && box_all_projected &&
-            RegionInsideBox(region, tlo, thi)) {
-          r.state[i] = RouteState::kRouteInsideBox;
-        }
-      }
-    }
-  } else if (grid != nullptr && desc.has_box()) {
-    // Grid cells are boxes too (MR-GPMRS's bitstring view), so they get
-    // the same region-level pruning.
-    const size_t cells = grid->num_groups();
-    r.table_active = true;
-    r.state.assign(cells, RouteState::kRoute);
-    r.group.assign(cells, 0);
-    for (size_t c = 0; c < cells; ++c) {
-      r.group[c] = static_cast<int32_t>(c);
-      const RZRegion region =
-          grid->CellRegion(static_cast<uint32_t>(c), vcodec.max_coord());
-      if (RegionOutsideBox(region, tlo, thi)) {
-        r.state[c] = RouteState::kDropBox;
-        ++r.regions_pruned_by_box;
-      } else if (box_all_projected && RegionInsideBox(region, tlo, thi)) {
-        r.state[c] = RouteState::kRouteInsideBox;
-      }
+      r.group[i] =
+          g == kDroppedGroup ? static_cast<int32_t>(i % num_groups) : g;
     }
   }
-  // Angle/quadtree/random partitions have no coordinate-box region, so box
-  // queries over them fall back to the per-point test (table inactive).
 }
 
 // Number of simulated cluster slots for the sim_* metrics.
@@ -397,26 +342,27 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
   BuildQueryRouting(routing, plan, v, desc, options, codec, zgroup, grid,
                     partitioner.num_groups());
   pm.regions_pruned_by_box = routing.regions_pruned_by_box;
-  // The plain full-space skyline takes the two-pass block loop below,
-  // byte-for-byte the pre-QueryDesc code path.
+  // The plain full-space skyline skips the box test and probes the plan's
+  // SZB filter before routing; every other desc tests its box first, then
+  // projects, routes and probes.
   const bool plain = v.identity && !desc.has_box();
   // Columnar-direct map wave: when the backing exposes a uniform-stride
-  // SoA span (`.zsc` mappings), the plain path runs the column-at-a-time
-  // mask kernel straight over the mapped columns — zero transpose. The
-  // mask is exactly the per-row AnyDominates answer, and routing/probing
-  // happen in the same row order with the same predicates, so the emitted
-  // candidate stream is bit-identical to what the cursor path emits for
-  // the same rows on the heap.
+  // SoA span (every `.zsc` mapping), every desc scans straight over the
+  // mapped columns, with no transpose. A column-at-a-time kernel answers
+  // the first test of a whole block (the box, or a plain desc's SZB
+  // block probe), and only its survivors are gathered row-major. Row
+  // order, predicates and counter increments match the heap scan, so the
+  // emitted candidate stream is bit-identical for the same rows.
   const Coord* soa_base = nullptr;
   size_t soa_stride = 0;
-  const bool columnar_direct = plain && points.SoaSpan(&soa_base, &soa_stride);
+  const bool columnar_direct = points.SoaSpan(&soa_base, &soa_stride);
   // Min-pruned probe index over the SZB filter block for the mask wave:
   // undominated rows skip every filter tile whose per-dimension min
   // exceeds them somewhere instead of proving a full-block miss. The
-  // plan's block itself stays untouched: the cursor path (heap backings
-  // and box descs) probes it in its original order.
+  // plan's block itself stays untouched: the heap scan probes it in its
+  // original order.
   std::optional<MaskFilterIndex> direct_filter;
-  if (columnar_direct && plan.szb_block.has_value() &&
+  if (columnar_direct && plain && plan.szb_block.has_value() &&
       plan.szb_block->size() > 0) {
     direct_filter.emplace(*plan.szb_block);
   }
@@ -476,216 +422,192 @@ CandidateList RunCandidateJob(const PreparedPlan& plan,
     size_t local_dropped = 0;
     size_t local_box_dropped = 0;
     size_t local_tombstoned = 0;
+    size_t local_pruned_sketch = 0;
+    // The plain desc's tail for an alive row the SZB block did not
+    // reject: the filter's overflow tree, then the router.
+    auto plain_tail = [&](size_t row, std::span<const Coord> p) {
+      if (plan.szb_tree != nullptr && plan.szb_tree->ExistsDominatorOf(p)) {
+        ++local_filtered;
+        return;
+      }
+      const int32_t gid = partitioner.GroupOf(p);
+      if (gid == kDroppedGroup) {
+        ++local_dropped;
+        return;
+      }
+      emit(gid, static_cast<uint32_t>(row));
+    };
+    // Every other desc's tail for an alive in-box row (original
+    // coordinates): project, route, then probe the query's filter.
+    std::vector<Coord> qbuf(codec.dim());
+    auto desc_tail = [&](size_t row, std::span<const Coord> p) {
+      std::span<const Coord> q = p;
+      if (!v.identity_projection) {
+        ProjectRowInto(p, v.dims, v.flip, max_coord, qbuf);
+        q = qbuf;
+      }
+      int32_t gid;
+      if (!routing.group.empty()) {
+        gid = routing.group[zgroup->PartitionOf(q)];
+      } else {
+        gid = partitioner.GroupOf(q);
+        if (gid == kDroppedGroup) {
+          // Only reachable without a box and with k == 1 (otherwise the
+          // group table reroutes), where the static ZDG drop is sound.
+          ++local_dropped;
+          return;
+        }
+      }
+      bool dominated = false;
+      if (desc.k > 1) {
+        if (routing.probe_tree != nullptr) {
+          dominated =
+              routing.probe_tree->CountDominatorsOf(q, desc.k) >= desc.k;
+        }
+      } else if (routing.probe_block != nullptr) {
+        dominated = routing.probe_block->AnyDominates(q);
+        if (!dominated && routing.probe_tree != nullptr) {
+          dominated = routing.probe_tree->ExistsDominatorOf(q);
+        }
+      }
+      if (dominated) {
+        ++local_filtered;
+        return;
+      }
+      emit(gid, static_cast<uint32_t>(row));
+    };
+
     if (columnar_direct) {
-      // Columnar-direct wave: the SZB filter's block scan runs
-      // column-at-a-time straight over the mapped `.zsc` columns — no
-      // RowBlockCursor, no transpose. Only mask survivors are gathered
-      // row-major (dim strided loads) for the tree probe and the router.
-      // Row order, predicates and counter increments match the cursor
-      // path's two passes exactly, so the emitted stream is
-      // bit-identical.
       constexpr size_t kDirectRows = RowBlockCursor::kDefaultBlockRows;
       std::vector<uint8_t> mask(kDirectRows);
       std::vector<Coord> pbuf(dim);
-      const bool have_block = direct_filter.has_value();
+      const std::span<const Coord> p(pbuf.data(), dim);
       simd::MaskFilterPruning pruning{};
-      if (have_block) pruning = direct_filter->pruning();
-      for (size_t b0 = begin; b0 < end; b0 += kDirectRows) {
-        const size_t b1 = std::min(end, b0 + kDirectRows);
-        points.WillNeedRows(b1, std::min(end, b1 + kDirectRows));
-        if (have_block) {
-          SoAMaskAnyDominated(soa_base, soa_stride, dim, b0, b1,
-                              direct_filter->block.lanes(),
-                              direct_filter->block.lane_stride(),
-                              direct_filter->block.size(), &pruning,
-                              mask.data());
-        } else {
-          std::fill_n(mask.data(), b1 - b0, uint8_t{0});
+      if (direct_filter.has_value()) pruning = direct_filter->pruning();
+      // Scans rows [lo, hi) block by block. mask[i - b0] is set for a row
+      // the plain desc's SZB block dominates, or for a row inside the box.
+      auto scan_columns = [&](size_t lo, size_t hi) {
+        for (size_t b0 = lo; b0 < hi; b0 += kDirectRows) {
+          const size_t b1 = std::min(hi, b0 + kDirectRows);
+          points.WillNeedRows(b1, std::min(hi, b1 + kDirectRows));
+          if (direct_filter.has_value()) {
+            SoAMaskAnyDominated(soa_base, soa_stride, dim, b0, b1,
+                                direct_filter->block.lanes(),
+                                direct_filter->block.lane_stride(),
+                                direct_filter->block.size(), &pruning,
+                                mask.data());
+          } else if (desc.has_box()) {
+            SoAMaskInBox(soa_base, soa_stride, dim, b0, b1,
+                         desc.box_lo.data(), desc.box_hi.data(),
+                         mask.data());
+          } else {
+            std::fill_n(mask.data(), b1 - b0, uint8_t{0});
+          }
+          for (size_t i = b0; i < b1; ++i) {
+            if (alive != nullptr && alive[i] == 0) {
+              ++local_tombstoned;
+              continue;
+            }
+            if (plain) {
+              if (mask[i - b0] != 0) {
+                ++local_filtered;
+                continue;
+              }
+            } else if (desc.has_box() && mask[i - b0] == 0) {
+              ++local_box_dropped;
+              continue;
+            }
+            for (uint32_t k = 0; k < dim; ++k) {
+              pbuf[k] = soa_base[k * soa_stride + i];
+            }
+            if (plain) {
+              plain_tail(i, p);
+            } else {
+              desc_tail(i, p);
+            }
+          }
+          points.ReleaseRows(b0, b1);
         }
-        for (size_t i = b0; i < b1; ++i) {
-          if (alive != nullptr && alive[i] == 0) {
-            ++local_tombstoned;
+      };
+      // Sketch pruning: a sketch block whose per-column [min, max] misses
+      // the box (in original coordinates, whatever the shape) holds no
+      // in-box row, so each of its alive rows is a box drop. Counting the
+      // block wholesale keeps results and counters bit-identical while
+      // skipping its scan (and its page faults) entirely.
+      const bool sketch = desc.has_box() && points.has_sketch();
+      for (size_t at = begin; at < end;) {
+        size_t next = end;
+        if (sketch) {
+          const size_t blk = at / points.sketch_block_rows();
+          next = std::min(end, (blk + 1) * points.sketch_block_rows());
+          const Coord* mins = points.sketch_mins(blk);
+          const Coord* maxs = points.sketch_maxs(blk);
+          bool disjoint = false;
+          for (uint32_t d = 0; d < dim && !disjoint; ++d) {
+            disjoint = mins[d] > desc.box_hi[d] || maxs[d] < desc.box_lo[d];
+          }
+          if (disjoint) {
+            for (size_t i = at; i < next; ++i) {
+              if (alive != nullptr && alive[i] == 0) {
+                ++local_tombstoned;
+              } else {
+                ++local_box_dropped;
+                ++local_pruned_sketch;
+              }
+            }
+            at = next;
             continue;
           }
-          if (mask[i - b0] != 0) {
-            ++local_filtered;
-            continue;
-          }
-          for (uint32_t k = 0; k < dim; ++k) {
-            pbuf[k] = soa_base[k * soa_stride + i];
-          }
-          const std::span<const Coord> p(pbuf.data(), dim);
-          if (plan.szb_tree != nullptr &&
-              plan.szb_tree->ExistsDominatorOf(p)) {
-            ++local_filtered;
-            continue;
-          }
-          const int32_t gid = partitioner.GroupOf(p);
-          if (gid == kDroppedGroup) {
-            ++local_dropped;
-            continue;
-          }
-          emit(gid, static_cast<uint32_t>(i));
         }
-        points.ReleaseRows(b0, b1);
+        scan_columns(at, next);
+        at = next;
       }
-      filtered.fetch_add(local_filtered, std::memory_order_relaxed);
-      dropped.fetch_add(local_dropped, std::memory_order_relaxed);
-      tombstoned.fetch_add(local_tombstoned, std::memory_order_relaxed);
-      return;
-    }
-    // The split is a row-range over the view: a heap backing yields it as
-    // one zero-copy block (the pre-view memory walk, byte for byte), an
-    // mmap'd columnar backing as transposed blocks streamed through the
-    // page cache — and released behind the scan under a residency budget.
-    std::vector<uint32_t> survivors;
-    std::vector<Coord> qbuf(codec.dim());
-    size_t local_pruned_sketch = 0;
-    auto scan_rows = [&](size_t range_begin, size_t range_end) {
-    RowBlockCursor cursor(points, range_begin, range_end);
-    RowBlockCursor::Block block;
-    while (cursor.Next(&block)) {
-      if (plain) {
-        // Pass 1 (per block): survivors of the sample-skyline filter. Each
-        // probe is one SIMD block scan (tile early-exit) instead of a
-        // pointer-chasing tree walk; the overflow tree only sees points
-        // the block could not reject.
-        survivors.clear();
-        survivors.reserve(block.rows);
+    } else {
+      // Heap backings: the split is one zero-copy row-major block (other
+      // columnar views stream transposed blocks through the cursor).
+      RowBlockCursor cursor(points, begin, end);
+      RowBlockCursor::Block block;
+      std::vector<uint32_t> survivors;
+      while (cursor.Next(&block)) {
+        if (plain) {
+          // Pass 1 (per block): rows the SZB block does not reject. Each
+          // probe is one SIMD block scan with tile early-exit.
+          survivors.clear();
+          survivors.reserve(block.rows);
+          for (size_t i = 0; i < block.rows; ++i) {
+            if (alive != nullptr && alive[block.first_row + i] == 0) {
+              ++local_tombstoned;
+              continue;
+            }
+            if (plan.szb_block.has_value() &&
+                plan.szb_block->AnyDominates(
+                    std::span<const Coord>(block.data + i * dim, dim))) {
+              ++local_filtered;
+            } else {
+              survivors.push_back(static_cast<uint32_t>(i));
+            }
+          }
+          // Pass 2 (per block, while it is still cache-hot): the overflow
+          // tree and the router.
+          for (uint32_t i : survivors) {
+            plain_tail(block.first_row + i,
+                       std::span<const Coord>(block.data + i * dim, dim));
+          }
+          continue;
+        }
         for (size_t i = 0; i < block.rows; ++i) {
           if (alive != nullptr && alive[block.first_row + i] == 0) {
             ++local_tombstoned;
             continue;
           }
           const std::span<const Coord> p(block.data + i * dim, dim);
-          bool dominated = false;
-          if (plan.szb_block.has_value()) {
-            dominated = plan.szb_block->AnyDominates(p);
-            if (!dominated && plan.szb_tree != nullptr) {
-              dominated = plan.szb_tree->ExistsDominatorOf(p);
-            }
-          }
-          if (dominated) {
-            ++local_filtered;
-          } else {
-            survivors.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        // Pass 2 (per block, while it is still cache-hot): route the
-        // survivors.
-        for (uint32_t i : survivors) {
-          const std::span<const Coord> p(block.data + i * dim, dim);
-          const int32_t gid = partitioner.GroupOf(p);
-          if (gid == kDroppedGroup) {
-            ++local_dropped;
-            continue;
-          }
-          emit(gid, static_cast<uint32_t>(block.first_row + i));
-        }
-        continue;
-      }
-      // Desc-aware path: transform, route FIRST (so a box-pruned region
-      // rejects the point before the box test or the filter probe), then
-      // box-test, then probe.
-      for (size_t i = 0; i < block.rows; ++i) {
-        if (alive != nullptr && alive[block.first_row + i] == 0) {
-          ++local_tombstoned;
-          continue;
-        }
-        const std::span<const Coord> p(block.data + i * dim, dim);
-        std::span<const Coord> q = p;
-        if (!v.identity_projection) {
-          ProjectRowInto(p, v.dims, v.flip, max_coord, qbuf);
-          q = qbuf;
-        }
-        int32_t gid;
-        if (routing.table_active) {
-          const size_t part = zgroup != nullptr
-                                  ? zgroup->PartitionOf(q)
-                                  : static_cast<size_t>(partitioner.GroupOf(q));
-          const RouteState state = routing.state[part];
-          if (state == RouteState::kDropBox) {
-            ++local_box_dropped;
-            continue;
-          }
-          if (state == RouteState::kRoute && !desc.InBox(p)) {
-            ++local_box_dropped;
-            continue;
-          }
-          gid = routing.group[part];
-        } else {
           if (!desc.InBox(p)) {
             ++local_box_dropped;
             continue;
           }
-          gid = partitioner.GroupOf(q);
-          if (gid == kDroppedGroup) {
-            // Only reachable without a box and with k == 1 (otherwise the
-            // route table reroutes), where the static ZDG drop is sound.
-            ++local_dropped;
-            continue;
-          }
+          desc_tail(block.first_row + i, p);
         }
-        bool dominated = false;
-        if (desc.k > 1) {
-          if (routing.probe_tree != nullptr) {
-            dominated =
-                routing.probe_tree->CountDominatorsOf(q, desc.k) >= desc.k;
-          }
-        } else if (routing.probe_block != nullptr) {
-          dominated = routing.probe_block->AnyDominates(q);
-          if (!dominated && routing.probe_tree != nullptr) {
-            dominated = routing.probe_tree->ExistsDominatorOf(q);
-          }
-        }
-        if (dominated) {
-          ++local_filtered;
-          continue;
-        }
-        emit(gid, static_cast<uint32_t>(block.first_row + i));
       }
-    }
-    };  // scan_rows
-    if (!plain && desc.has_box() && points.has_sketch() &&
-        v.identity_projection) {
-      // Sketch pruning: a `.zsc` block whose per-column [min, max] is
-      // disjoint from the constraint box (in original coordinates)
-      // contains no in-box row, so every alive row in it would be counted
-      // box_dropped by the per-point path — route state kRouteInsideBox
-      // and sketch-disjointness cannot both hold for an actual point.
-      // Counting the block wholesale therefore keeps results AND counters
-      // bit-identical while skipping the scan (and its page faults)
-      // entirely.
-      const size_t srows = points.sketch_block_rows();
-      size_t seg_begin = begin;
-      size_t at = begin;
-      while (at < end) {
-        const size_t blk = at / srows;
-        const size_t blk_end = std::min(end, (blk + 1) * srows);
-        const Coord* mins = points.sketch_mins(blk);
-        const Coord* maxs = points.sketch_maxs(blk);
-        bool disjoint = false;
-        const size_t box_dims = std::min<size_t>(desc.box_lo.size(), dim);
-        for (size_t d = 0; d < box_dims && !disjoint; ++d) {
-          disjoint = mins[d] > desc.box_hi[d] || maxs[d] < desc.box_lo[d];
-        }
-        if (disjoint) {
-          if (seg_begin < at) scan_rows(seg_begin, at);
-          for (size_t i = at; i < blk_end; ++i) {
-            if (alive != nullptr && alive[i] == 0) {
-              ++local_tombstoned;
-            } else {
-              ++local_box_dropped;
-              ++local_pruned_sketch;
-            }
-          }
-          seg_begin = blk_end;
-        }
-        at = blk_end;
-      }
-      if (seg_begin < end) scan_rows(seg_begin, end);
-    } else {
-      scan_rows(begin, end);
     }
     if (local_pruned_sketch > 0) {
       GlobalScanCounters().rows_pruned_by_sketch.fetch_add(

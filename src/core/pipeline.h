@@ -36,20 +36,20 @@ using CandidateList = std::vector<std::pair<int32_t, uint32_t>>;
 //
 // `points` is a DatasetView: heap PointSets convert implicitly and take
 // the exact pre-view code path (zero-copy row blocks), while mmap'd
-// columnar datasets (io/columnar.h) are consumed as row-ranges over the
-// view — map splits stream blocks via RowBlockCursor, and only filter
-// survivors / merge candidates are ever materialized on the heap. The
-// result is bit-identical across backings by construction.
+// columnar datasets (io/columnar.h) are scanned straight from their
+// columns — job 1's map splits test a block column-at-a-time and gather
+// only the rows that pass, and only filter survivors / merge candidates
+// are ever materialized on the heap. The result is bit-identical across
+// backings by construction.
 
 // Both jobs take a QueryDesc (common/query_desc.h) selecting the query
 // variant. The default desc is the plain full-space skyline and keeps the
 // seed's exact code path. A non-default desc resolves its shape through
 // the plan's variant cache (PreparedPlan::Variant) and handles the
-// constraint box per query: the mapper routes each point first so that
-// whole partitions whose RZ-region falls outside the box are dropped
-// before the point is box-tested or probed against the filter
-// (pm.regions_pruned_by_box), in-box survivors are filtered against the
-// skyline/k-band of the *in-box* sample (a full-space filter would be
+// constraint box per query: the mapper tests each point against the box
+// before it projects, routes or probes it (pm.regions_pruned_by_box counts
+// the partitions the box misses), in-box survivors are filtered against
+// the skyline/k-band of the *in-box* sample (a full-space filter would be
 // unsound under a box), and k > 1 swaps every local/merge skyline for a
 // k-skyband. The same desc must be passed to both jobs.
 

@@ -46,8 +46,8 @@ SzbFilter BuildSzbFilter(const ZOrderCodec* codec, const PointSet& band,
 // by every query whose desc has the same canonical shape.
 //
 // The constraint box is deliberately NOT part of a variant: boxes are
-// per-query state (the pipeline derives the in-box filter and the
-// RZ-region prune table at query time), so a desc that only changes the
+// per-query state (the pipeline derives the in-box filter and its region
+// counts at query time), so a desc that only changes the
 // box reuses both the plan and its variant — the warm-path invariant.
 //
 // For the identity projection (all dims, no flips) the codec and

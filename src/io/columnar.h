@@ -18,9 +18,9 @@ namespace zsky {
 
 // `.zsc` — the out-of-core columnar dataset format (docs/storage.md).
 //
-// One contiguous section per dimension so the SoA dominance kernels, the
-// Z-order codec and the block-transposing RowBlockCursor read straight
-// from the page cache with sequential per-column access:
+// One contiguous section per dimension so the SoA kernels of job 1's map
+// wave (and the block-transposing RowBlockCursor of the write path) read
+// straight from the page cache with sequential per-column access:
 //
 //   offset 0   magic "ZSC1"
 //          4   version    u32   (= 1)

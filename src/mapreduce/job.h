@@ -384,7 +384,7 @@ class MapReduceJob {
       if (options_.shuffle_memory_budget_bytes > 0) {
         size_t capacity = 0;
         for (const RecordBuffer<V>& bucket : state.buckets) {
-          capacity += bucket.chunks().size() * RecordChunk<V>::kBytes;
+          capacity += bucket.capacity_bytes();
         }
         const size_t now = wave_buffered_bytes.fetch_add(
                                capacity, std::memory_order_relaxed) +
@@ -416,7 +416,7 @@ class MapReduceJob {
       for (size_t task = 0; task < num_splits; ++task) {
         if (spilled[task]) continue;  // Already on disk from mid-wave.
         for (const RecordBuffer<V>& bucket : map_state_[task].buckets) {
-          task_bytes[task] += bucket.chunks().size() * RecordChunk<V>::kBytes;
+          task_bytes[task] += bucket.capacity_bytes();
         }
       }
       const std::vector<uint8_t> choose = ChooseSpills(task_bytes);

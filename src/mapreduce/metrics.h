@@ -117,9 +117,10 @@ struct JobMetrics {
 
   // Out-of-core read path (deltas of the process-wide ScanCounters over
   // this job, filled by the pipeline): bytes moved through the
-  // RowBlockCursor transpose (0 when the columnar-direct wave served the
-  // whole scan), readahead effort and payoff, and rows skipped by the
-  // `.zsc` per-block min/max sketch on constrained scans.
+  // RowBlockCursor transpose (0 for job 1 on a `.zsc` backing, whose map
+  // wave reads the columns directly for every desc), readahead effort and
+  // payoff, and rows skipped by the `.zsc` per-block min/max sketch on
+  // constrained scans.
   size_t transpose_bytes = 0;
   size_t readahead_bytes = 0;
   size_t readahead_hits = 0;

@@ -3,14 +3,15 @@
 
 // Flat building blocks of the zero-copy columnar shuffle (docs/mapreduce.md):
 //
-//  - ChunkPool<V>: mutex-guarded free list of fixed-capacity columnar
-//    chunks (parallel int32 key / V value arrays). Map tasks acquire
-//    chunks, the shuffle releases them after consumption, and the next
-//    wave reuses them — steady-state waves allocate nothing on the
-//    record path.
+//  - ChunkPool<V>: mutex-guarded free lists of columnar chunks (parallel
+//    int32 key / V value arrays) in two sizes. Map tasks acquire chunks,
+//    the shuffle releases them after consumption, and the next wave
+//    reuses them — steady-state waves allocate nothing on the record
+//    path.
 //  - RecordBuffer<V>: one map task's records for one reducer, an
-//    append-only chain of chunks. Appending never moves earlier records,
-//    so consumers read chunk slices in place.
+//    append-only chain of chunks: a small first chunk, then full ones.
+//    Appending never moves earlier records, so consumers read chunk
+//    slices in place.
 //  - FlatArray<T>: growable scratch storage that keeps its capacity
 //    across waves (geometric growth, never shrinks). Holds the grouped
 //    record storage the reducers consume as std::span slices.
@@ -49,10 +50,15 @@ inline std::string DefaultSpillDir() {
   return "/tmp";
 }
 
-// Records per chunk: large enough that the pool mutex is touched once per
-// thousands of appends, small enough that a mostly-empty bucket does not
-// pin much memory (64 KiB of values for an 8-byte V).
+// Records per full chunk: large enough that the pool mutex is touched
+// once per thousands of appends.
 inline constexpr size_t kChunkRecords = 8192;
+// Records in a buffer's first chunk. A wave holds one buffer per (map
+// task, reducer), and most hold a few hundred records or fewer (a map
+// split's survivors spread over the groups, a probe morsel's 256 slots),
+// so a full first chunk would pin mostly empty memory — memory a shuffle
+// budget counts. Buffers that outgrow it continue in full chunks.
+inline constexpr size_t kFirstChunkRecords = 512;
 
 // One columnar chunk: parallel key/value arrays, filled front to back.
 template <typename V>
@@ -60,22 +66,26 @@ struct RecordChunk {
   std::unique_ptr<int32_t[]> keys;
   std::unique_ptr<V[]> values;
   size_t size = 0;
+  size_t capacity = 0;
 
-  static constexpr size_t kBytes =
-      kChunkRecords * (sizeof(int32_t) + sizeof(V));
+  size_t capacity_bytes() const {
+    return capacity * (sizeof(int32_t) + sizeof(V));
+  }
 };
 
-// Free list of chunks shared by all buffers of one job. Thread-safe; the
-// lock is taken once per kChunkRecords appends, not per record.
+// Free lists of chunks shared by all buffers of one job, one per chunk
+// size. Thread-safe; the lock is taken once per chunk, not per record.
 template <typename V>
 class ChunkPool {
  public:
-  RecordChunk<V> Acquire() {
+  // `capacity` is kFirstChunkRecords or kChunkRecords.
+  RecordChunk<V> Acquire(size_t capacity) {
+    std::vector<RecordChunk<V>>& free = free_[ListOf(capacity)];
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        RecordChunk<V> chunk = std::move(free_.back());
-        free_.pop_back();
+      if (!free.empty()) {
+        RecordChunk<V> chunk = std::move(free.back());
+        free.pop_back();
         chunk.size = 0;
         return chunk;
       }
@@ -83,9 +93,10 @@ class ChunkPool {
     static_assert(std::is_trivially_copyable_v<V>,
                   "columnar chunks require a trivially copyable value");
     RecordChunk<V> chunk;
-    chunk.keys = std::make_unique_for_overwrite<int32_t[]>(kChunkRecords);
-    chunk.values = std::make_unique_for_overwrite<V[]>(kChunkRecords);
-    allocated_bytes_.fetch_add(RecordChunk<V>::kBytes,
+    chunk.keys = std::make_unique_for_overwrite<int32_t[]>(capacity);
+    chunk.values = std::make_unique_for_overwrite<V[]>(capacity);
+    chunk.capacity = capacity;
+    allocated_bytes_.fetch_add(chunk.capacity_bytes(),
                                std::memory_order_relaxed);
     return chunk;
   }
@@ -93,7 +104,7 @@ class ChunkPool {
   void Release(RecordChunk<V>&& chunk) {
     if (chunk.keys == nullptr) return;
     const std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(chunk));
+    free_[ListOf(chunk.capacity)].push_back(std::move(chunk));
   }
 
   // Bytes of chunk storage ever allocated (not returned on Release —
@@ -104,8 +115,13 @@ class ChunkPool {
   }
 
  private:
+  static size_t ListOf(size_t capacity) {
+    ZSKY_DCHECK(capacity == kFirstChunkRecords || capacity == kChunkRecords);
+    return capacity == kChunkRecords ? 1 : 0;
+  }
+
   std::mutex mu_;
-  std::vector<RecordChunk<V>> free_;
+  std::vector<RecordChunk<V>> free_[2];
   std::atomic<size_t> allocated_bytes_{0};
 };
 
@@ -114,8 +130,10 @@ template <typename V>
 class RecordBuffer {
  public:
   void Append(int32_t key, const V& value, ChunkPool<V>& pool) {
-    if (chunks_.empty() || chunks_.back().size == kChunkRecords) {
-      chunks_.push_back(pool.Acquire());
+    if (chunks_.empty()) {
+      chunks_.push_back(pool.Acquire(kFirstChunkRecords));
+    } else if (chunks_.back().size == chunks_.back().capacity) {
+      chunks_.push_back(pool.Acquire(kChunkRecords));
     }
     RecordChunk<V>& chunk = chunks_.back();
     chunk.keys[chunk.size] = key;
@@ -127,6 +145,12 @@ class RecordBuffer {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t bytes() const { return size_ * (sizeof(int32_t) + sizeof(V)); }
+  // Bytes the buffer's chunks pin, used or not.
+  size_t capacity_bytes() const {
+    size_t total = 0;
+    for (const RecordChunk<V>& chunk : chunks_) total += chunk.capacity_bytes();
+    return total;
+  }
   const std::vector<RecordChunk<V>>& chunks() const { return chunks_; }
 
   // Returns every chunk to the pool for the next wave to reuse.

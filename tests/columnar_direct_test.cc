@@ -1,19 +1,24 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/bnl.h"
+#include "algo/oracle.h"
 #include "common/cpu.h"
 #include "common/dominance.h"
 #include "common/dominance_block.h"
 #include "common/quantizer.h"
 #include "common/scan_counters.h"
 #include "core/executor.h"
+#include "core/pipeline.h"
+#include "core/query_plan.h"
 #include "gen/synthetic.h"
 #include "io/columnar.h"
 
@@ -111,8 +116,8 @@ TEST(ColumnarDirectKernelTest, MaskMatchesDominatesOracleAcrossTiers) {
 }
 
 // --- Columnar-direct vs heap parity over the scheme x local matrix. Both
-// must be bit-identical (and match the BNL oracle): the direct wave is
-// the same filter/route predicates in the same row order, just fed
+// must be bit-identical (and match the oracle): the direct wave is the
+// same box/filter/route predicates in the same row order, just fed
 // column-at-a-time.
 struct DirectCase {
   PartitioningScheme partitioning;
@@ -153,6 +158,31 @@ class ColumnarDirectParityTest : public ::testing::TestWithParam<DirectCase> {
 PointSet* ColumnarDirectParityTest::points_ = nullptr;
 std::string* ColumnarDirectParityTest::path_ = nullptr;
 
+// The descs every columnar-direct test runs on 4-d data: the plain
+// query, boxes at k = 1 and 2, a subspace, a flip, and a box with a flip.
+std::vector<std::pair<std::string, QueryDesc>> DirectDescs() {
+  std::vector<std::pair<std::string, QueryDesc>> descs;
+  descs.emplace_back("plain", QueryDesc{});
+  QueryDesc box;
+  box.box_lo = {200, 0, 500, 0};
+  box.box_hi = {3000, 3500, 4095, 2800};
+  descs.emplace_back("box", box);
+  QueryDesc band = box;
+  band.k = 2;
+  descs.emplace_back("box_k2", band);
+  QueryDesc subspace;
+  subspace.dims = {0, 2, 3};
+  descs.emplace_back("subspace", subspace);
+  QueryDesc flip;
+  flip.maximize = {1, 0, 1, 0};
+  descs.emplace_back("flip", flip);
+  QueryDesc box_flip = box;
+  box_flip.maximize = {0, 1, 0, 1};
+  descs.emplace_back("box_flip", box_flip);
+  for (auto& [name, desc] : descs) desc.Canonicalize();
+  return descs;
+}
+
 TEST_P(ColumnarDirectParityTest, DirectMatchesHeapAndBnl) {
   const DirectCase& c = GetParam();
   ExecutorOptions options;
@@ -177,6 +207,26 @@ TEST_P(ColumnarDirectParityTest, DirectMatchesHeapAndBnl) {
 
   EXPECT_EQ(heap, direct) << options.Label();
   EXPECT_EQ(direct, BnlSkyline(*points_)) << options.Label();
+
+  // Every desc on both backings: the same answer, the oracle's, and the
+  // same job-1 row funnel.
+  const Coord max_coord = (Coord{1} << kBits) - 1;
+  for (const auto& [name, desc] : DirectDescs()) {
+    SCOPED_TRACE(options.Label() + " desc=" + name);
+    const SkylineQueryResult on_heap =
+        ParallelSkylineExecutor(options).Execute(*points_, desc);
+    const SkylineQueryResult on_zsc =
+        ParallelSkylineExecutor(options).Execute(mapped->view(), desc);
+    EXPECT_EQ(on_zsc.skyline, on_heap.skyline);
+    EXPECT_EQ(on_zsc.skyline, OracleQuery(*points_, desc, max_coord));
+    EXPECT_EQ(on_zsc.metrics.dropped_by_box, on_heap.metrics.dropped_by_box);
+    EXPECT_EQ(on_zsc.metrics.filtered_by_szb,
+              on_heap.metrics.filtered_by_szb);
+    EXPECT_EQ(on_zsc.metrics.dropped_by_pruning,
+              on_heap.metrics.dropped_by_pruning);
+    EXPECT_EQ(on_zsc.metrics.candidates, on_heap.metrics.candidates);
+    EXPECT_EQ(on_zsc.metrics.job1.transpose_bytes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -230,13 +280,12 @@ TEST(ColumnarDirectIsaTest, AllTiersBitIdentical) {
   std::remove(path.c_str());
 }
 
-// --- The headline counter: an SZB-eligible plain query over a `.zsc`
-// backing must run with ZERO transpose bytes on the direct wave, while a
-// box desc over the same file takes the cursor and transposes every
-// scanned row.
+// --- The headline counter: every desc over a `.zsc` backing runs the
+// direct wave and transposes ZERO bytes, whole-domain box included, with
+// the heap run's answer.
 TEST(ColumnarDirectMetricsTest, TransposeBytesZeroOnDirectPlan) {
   const PointSet points = GenerateQuantized(Distribution::kIndependent, 20000,
-                                            6, 321, Quantizer(kBits));
+                                            4, 321, Quantizer(kBits));
   const std::string path = TempZsc("columnar_direct_transpose");
   std::string error;
   ASSERT_TRUE(WriteColumnarFile(path, points, kBits, &error)) << error;
@@ -247,21 +296,19 @@ TEST(ColumnarDirectMetricsTest, TransposeBytesZeroOnDirectPlan) {
   options.bits = kBits;
   options.num_groups = 4;
   options.num_threads = 2;
-  const SkylineQueryResult direct =
-      ParallelSkylineExecutor(options).Execute(mapped->view());
-  EXPECT_EQ(direct.metrics.job1.transpose_bytes, 0u);
-
-  // A box covering the whole domain keeps every row but is not the plain
-  // desc, so the scan goes through the cursor.
+  std::vector<std::pair<std::string, QueryDesc>> descs = DirectDescs();
   QueryDesc whole_box;
   whole_box.box_lo.assign(points.dim(), 0);
   whole_box.box_hi.assign(points.dim(), (Coord{1} << kBits) - 1);
-  const SkylineQueryResult cursor =
-      ParallelSkylineExecutor(options).Execute(mapped->view(), whole_box);
-  // The cursor transposes at least the whole scan once.
-  EXPECT_GE(cursor.metrics.job1.transpose_bytes,
-            points.size() * points.dim() * sizeof(Coord));
-  EXPECT_EQ(direct.skyline, cursor.skyline);
+  descs.emplace_back("whole_box", whole_box);
+  for (const auto& [name, desc] : descs) {
+    const SkylineQueryResult direct =
+        ParallelSkylineExecutor(options).Execute(mapped->view(), desc);
+    EXPECT_EQ(direct.metrics.job1.transpose_bytes, 0u) << name;
+    EXPECT_EQ(direct.skyline,
+              ParallelSkylineExecutor(options).Execute(points, desc).skyline)
+        << name;
+  }
   std::remove(path.c_str());
 }
 
@@ -338,6 +385,105 @@ TEST(OutOfCoreSketchTest, BoxPruningParityAndCounter) {
   // blocks without touching their pages.
   EXPECT_EQ(heap.metrics.job1.rows_pruned_by_sketch, 0u);
   EXPECT_GE(cold.metrics.job1.rows_pruned_by_sketch, 2 * block);
+  std::remove(path.c_str());
+}
+
+// Sketch pruning under a flipped box with tombstones, with map splits that
+// straddle sketch-block boundaries: the pruned-row counter equals a brute
+// count of the alive rows in the blocks whose [min, max] misses the box
+// (in original coordinates), and the row funnel and the answer equal the
+// heap run's.
+TEST(OutOfCoreSketchTest, FlippedBoxStraddlingSplitsCountsExactly) {
+  // Block b holds values in [b * 1000, b * 1000 + 400] on every column;
+  // the last block is partial. The box misses blocks 0 (dim 0 >= 900) and
+  // 3 (dim 3 <= 2050) and keeps about an eighth of blocks 1 and 2.
+  const uint32_t dim = 4;
+  const size_t block = static_cast<size_t>(kColumnarSketchBlockRows);
+  const size_t n = 3 * block + 1000;
+  PointSet points(dim);
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<Coord> low(0, 400);
+  std::vector<Coord> row(dim);
+  for (size_t i = 0; i < n; ++i) {
+    const Coord base = static_cast<Coord>(1000 * (i / block));
+    for (uint32_t d = 0; d < dim; ++d) row[d] = base + low(rng);
+    points.Append(row);
+  }
+  std::vector<uint8_t> alive(n, 1);
+  for (size_t i = 0; i < n; i += 7) alive[i] = 0;
+  QueryDesc desc;
+  desc.box_lo = {900, 1350, 0, 0};
+  desc.box_hi = {4095, 4095, 2500, 2050};
+  desc.maximize = {1, 0, 1, 0};
+  desc.Canonicalize();
+
+  size_t expect_pruned = 0;
+  for (size_t b0 = 0; b0 < n; b0 += block) {
+    const size_t b1 = std::min(n, b0 + block);
+    bool disjoint = false;
+    for (uint32_t d = 0; d < dim; ++d) {
+      Coord lo = points[b0][d];
+      Coord hi = lo;
+      for (size_t i = b0; i < b1; ++i) {
+        lo = std::min(lo, points[i][d]);
+        hi = std::max(hi, points[i][d]);
+      }
+      disjoint = disjoint || lo > desc.box_hi[d] || hi < desc.box_lo[d];
+    }
+    if (!disjoint) continue;
+    for (size_t i = b0; i < b1; ++i) expect_pruned += alive[i];
+  }
+  ASSERT_GT(expect_pruned, 0u);
+
+  const std::string path = TempZsc("outofcore_sketch_flip");
+  std::string error;
+  ASSERT_TRUE(WriteColumnarFile(path, points, kBits, &error)) << error;
+  const auto mapped = ColumnarDataset::Open(path, &error);
+  ASSERT_NE(mapped, nullptr) << error;
+  ASSERT_EQ(mapped->sketch_blocks(), 4u);
+
+  ExecutorOptions options;
+  options.bits = kBits;
+  options.num_groups = 4;
+  options.num_threads = 2;
+  // Seven splits of ~28k rows: splits 2, 4 and 6 each straddle a
+  // sketch-block boundary.
+  options.num_map_tasks = 7;
+  options.map_morsel_rows = 0;
+  auto run = [&](const DatasetView& view, PhaseMetrics& pm) {
+    const PreparedPlan plan = PreparePlan(view, options);
+    CandidateList candidates =
+        RunCandidateJob(plan, options, view, nullptr, pm, desc, alive.data());
+    return RunMergeJob(plan, options, view, std::move(candidates), nullptr,
+                       pm, desc);
+  };
+  PhaseMetrics heap_pm;
+  PhaseMetrics zsc_pm;
+  const SkylineIndices heap = run(points, heap_pm);
+  const SkylineIndices zsc = run(mapped->view(), zsc_pm);
+  EXPECT_EQ(zsc, heap);
+  EXPECT_EQ(zsc_pm.job1.rows_pruned_by_sketch, expect_pruned);
+  EXPECT_EQ(heap_pm.job1.rows_pruned_by_sketch, 0u);
+  EXPECT_EQ(zsc_pm.dropped_by_box, heap_pm.dropped_by_box);
+  EXPECT_EQ(zsc_pm.dropped_by_tombstone, heap_pm.dropped_by_tombstone);
+  EXPECT_EQ(zsc_pm.filtered_by_szb, heap_pm.filtered_by_szb);
+  EXPECT_EQ(zsc_pm.candidates, heap_pm.candidates);
+  EXPECT_EQ(zsc_pm.job1.transpose_bytes, 0u);
+
+  // The answer is the oracle's over the alive rows.
+  PointSet alive_points(dim);
+  std::vector<uint32_t> alive_rows;
+  for (size_t i = 0; i < n; ++i) {
+    if (alive[i] == 0) continue;
+    alive_points.AppendFrom(points, i);
+    alive_rows.push_back(static_cast<uint32_t>(i));
+  }
+  SkylineIndices expect;
+  for (uint32_t i :
+       OracleQuery(alive_points, desc, (Coord{1} << kBits) - 1)) {
+    expect.push_back(alive_rows[i]);
+  }
+  EXPECT_EQ(zsc, expect);
   std::remove(path.c_str());
 }
 

@@ -1019,9 +1019,11 @@ TEST(MapReduceJobTest, MatchesSerialReferenceAcrossTheMatrix) {
     options.enable_combiner = combiner;
     options.spill_to_disk = spill == Spill::kFull;
     if (spill == Spill::kBudget) {
-      // Accounted at pinned chunk capacity (~384 KB per task): the first
-      // finisher stays under 512 KB and later tasks spill themselves
-      // mid-wave — a partial spill whatever the completion order.
+      // Accounted at pinned chunk capacity: a bucket past its 512-record
+      // first chunk also pins a full one, so all but the smallest tasks
+      // pin ~408 KiB. The first finisher stays under 512 KiB and later
+      // tasks spill themselves mid-wave — a partial spill whatever the
+      // completion order.
       options.shuffle_memory_budget_bytes = 512 * 1024;
     }
     options.spill_dir = dir.string();
@@ -1083,10 +1085,11 @@ TEST(MapReduceJobTest, MemoryBudgetSpillsLargestTasksFirst) {
   options.num_threads = 2;
   options.spill_dir = ::testing::TempDir();
   // The budget counts chunk CAPACITY, what the arenas pin: task t emits
-  // (t+1)*3000 records split over 2 buckets, so tasks 0..4 pin one 96 KB
-  // chunk per bucket (192 KB) and task 5 (4500 records/bucket) pins 384
-  // KB. A 300 KB budget keeps only the first task to finish buffered;
-  // every later task self-spills mid-wave.
+  // (t+1)*3000 records split 3:2 over 2 buckets, so tasks 0..3 pin a
+  // first and a full chunk per bucket (204 KiB) and tasks 4 and 5 one
+  // more full chunk (300 KiB). A 300 KiB budget holds any one task but no
+  // two, so only the first task to finish stays buffered; every later
+  // task self-spills mid-wave.
   options.shuffle_memory_budget_bytes = 300 * 1024;
   MapReduceJob<uint64_t> job(options);
   std::mutex mu;
@@ -1110,8 +1113,8 @@ TEST(MapReduceJobTest, MemoryBudgetSpillsLargestTasksFirst) {
   EXPECT_GT(metrics.spilled_tasks, 0u);
   EXPECT_LT(metrics.spilled_tasks, 6u);
   EXPECT_GT(metrics.spill_bytes, 0u);
-  // Whatever the completion order, the first finished task (192 KB) fits
-  // the budget and every subsequent one crosses it: exactly five spills.
+  // Whatever the completion order, the first finished task fits the
+  // budget and every subsequent one crosses it: exactly five spills.
   EXPECT_EQ(metrics.spilled_tasks, 5u);
 
   // Same sums without any budget.

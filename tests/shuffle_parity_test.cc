@@ -15,6 +15,7 @@
 #include "common/quantizer.h"
 #include "core/executor.h"
 #include "gen/synthetic.h"
+#include "mapreduce/record_buffer.h"
 
 namespace zsky {
 namespace {
@@ -74,11 +75,14 @@ SkylineIndices RunPipeline(const PointSet& points, const ParityCase& c,
       options.spill_to_disk = true;
       break;
     case SpillMode::kBudget:
-      // The budget is accounted at chunk capacity (~64 KiB per non-empty
-      // bucket), so each of job 1's map tasks pins a few hundred KiB.
-      // 1 MiB holds the first task or two and forces the rest to spill
-      // mid-wave: a partial spill whatever the completion order.
-      options.shuffle_memory_budget_bytes = 1024 * 1024;
+      // The budget is accounted at chunk capacity. Job 1's map tasks here
+      // emit under a hundred records per group, so each of their 6
+      // buckets pins one first chunk (4 KiB of uint32 rows): ~24 KiB per
+      // task. Ten first chunks hold the first task to finish and force
+      // the rest to spill mid-wave: a partial spill whatever the
+      // completion order.
+      options.shuffle_memory_budget_bytes =
+          10 * mr::kFirstChunkRecords * (sizeof(int32_t) + sizeof(uint32_t));
       break;
   }
   if (c.retry) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,6 +232,87 @@ TEST(KernelIsaParityTest, NodeTestAgreesWithScalar) {
           << "dim=" << dim;
     }
   }
+}
+
+// The columnar-direct box mask on every tier against a plain scalar loop:
+// coordinates on both sides of 2^31 (where a signed lane compare would
+// flip), degenerate boxes (lo = hi), boxes open at 0 or at 2^32 - 1, and
+// scan ranges that start and end mid-vector inside a padded column stride.
+TEST(KernelIsaParityTest, BoxMaskAgreesWithScalar) {
+  static constexpr Coord kAlphabet[] = {0u,          1u,          0x7FFFFFFFu,
+                                        0x80000000u, 0x80000001u, 0xFFFFFFFEu,
+                                        0xFFFFFFFFu};
+  constexpr size_t kLetters = std::size(kAlphabet);
+  Rng rng(777);
+  size_t rows_in = 0;
+  size_t rows_out = 0;
+  for (const uint32_t dim : {1u, 2u, 3u, 5u, 8u, 9u, 17u, 64u, 65u}) {
+    for (const size_t n : {1u, 3u, 7u, 8u, 9u, 15u, 130u, 301u}) {
+      const size_t stride = n + 5;
+      std::vector<Coord> soa(stride * dim, 0xDEADBEEFu);
+      for (uint32_t k = 0; k < dim; ++k) {
+        for (size_t i = 0; i < n; ++i) {
+          soa[k * stride + i] = rng.NextBounded(2) == 0
+                                    ? kAlphabet[rng.NextBounded(kLetters)]
+                                    : static_cast<Coord>(rng.Next());
+        }
+      }
+      for (int trial = 0; trial < 24; ++trial) {
+        std::vector<Coord> lo(dim);
+        std::vector<Coord> hi(dim);
+        for (uint32_t k = 0; k < dim; ++k) {
+          const Coord a = kAlphabet[rng.NextBounded(kLetters)];
+          const Coord b = soa[k * stride + rng.NextBounded(n)];
+          switch (trial % 4) {
+            case 0:  // lo = hi, on a letter or on a stored value.
+              lo[k] = hi[k] = rng.NextBounded(2) == 0 ? a : b;
+              break;
+            case 1:  // Open at 0.
+              lo[k] = 0;
+              hi[k] = std::max(a, b);
+              break;
+            case 2:  // Open at 2^32 - 1.
+              lo[k] = std::min(a, b);
+              hi[k] = 0xFFFFFFFFu;
+              break;
+            default:  // Anything with lo <= hi, often the whole domain.
+              lo[k] = rng.NextBounded(4) == 0 ? 0 : std::min(a, b);
+              hi[k] = rng.NextBounded(4) == 0 ? 0xFFFFFFFFu : std::max(a, b);
+              break;
+          }
+        }
+        const size_t begin = rng.NextBounded(std::min<size_t>(n, 6));
+        const size_t end = n - rng.NextBounded(std::min<size_t>(n - begin, 4));
+        std::vector<uint8_t> want(end - begin, 0);
+        size_t want_count = 0;
+        for (size_t i = begin; i < end; ++i) {
+          bool in = true;
+          for (uint32_t k = 0; k < dim; ++k) {
+            const Coord c = soa[k * stride + i];
+            in = in && lo[k] <= c && c <= hi[k];
+          }
+          want[i - begin] = in ? 1 : 0;
+          want_count += in ? 1 : 0;
+        }
+        rows_in += want_count;
+        rows_out += (end - begin) - want_count;
+        for (Isa isa : SupportedIsas()) {
+          std::vector<uint8_t> got(end - begin, 0xCC);
+          const size_t count = simd::KernelTableFor(isa).mask_in_box(
+              soa.data(), stride, dim, begin, end, lo.data(), hi.data(),
+              got.data());
+          EXPECT_EQ(count, want_count)
+              << IsaName(isa) << " dim=" << dim << " n=" << n
+              << " trial=" << trial;
+          EXPECT_EQ(got, want) << IsaName(isa) << " dim=" << dim
+                               << " n=" << n << " trial=" << trial;
+        }
+      }
+    }
+  }
+  // Both answers were exercised.
+  EXPECT_GT(rows_in, 1000u);
+  EXPECT_GT(rows_out, 1000u);
 }
 
 // Reference Z-order encoder: the seed's bit-by-bit interleave, kept here
