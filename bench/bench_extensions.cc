@@ -1,5 +1,5 @@
-// Performance of the beyond-the-paper extensions: streaming maintenance,
-// sliding-window skylines, distributed k-skyband, and top-k ranking.
+// Performance of the beyond-the-paper extensions: distributed k-skyband
+// and top-k ranking.
 
 #include <string>
 
@@ -7,51 +7,9 @@
 #include "algo/skyband.h"
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "core/streaming.h"
-#include "core/windowed_skyline.h"
 
 namespace zsky::bench {
 namespace {
-
-void BenchStreaming() {
-  std::printf("\n--- streaming skyline maintenance (insert throughput) ---\n");
-  std::printf("%-16s %10s %12s %12s %12s\n", "distribution", "n",
-              "frontier", "ms", "points/ms");
-  for (auto dist : {Distribution::kCorrelated, Distribution::kIndependent,
-                    Distribution::kAnticorrelated}) {
-    const size_t n = 200'000;
-    const PointSet stream = MakeData(dist, n, 4, 71);
-    const ZOrderCodec codec(4, kBits);
-    StreamingSkyline sky(&codec);
-    Stopwatch watch;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      sky.Insert(stream[i], static_cast<uint32_t>(i));
-    }
-    const double ms = watch.ElapsedMs();
-    std::printf("%-16s %10zu %12zu %12.1f %12.0f\n",
-                std::string(DistributionName(dist)).c_str(), n, sky.size(),
-                ms, n / ms);
-  }
-}
-
-void BenchWindowed() {
-  std::printf("\n--- sliding-window skyline (window=10k) ---\n");
-  std::printf("%-16s %10s %12s %12s %12s\n", "distribution", "n",
-              "critical", "ms", "points/ms");
-  for (auto dist : {Distribution::kCorrelated, Distribution::kIndependent}) {
-    const size_t n = 200'000;
-    const PointSet stream = MakeData(dist, n, 4, 72);
-    WindowedSkyline sky(4, 10'000);
-    Stopwatch watch;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      sky.Insert(stream[i], static_cast<uint32_t>(i));
-    }
-    const double ms = watch.ElapsedMs();
-    std::printf("%-16s %10zu %12zu %12.1f %12.0f\n",
-                std::string(DistributionName(dist)).c_str(), n,
-                sky.critical_size(), ms, n / ms);
-  }
-}
 
 void BenchSkyband() {
   std::printf("\n--- distributed k-skyband (n=100k, d=4) ---\n");
@@ -92,10 +50,7 @@ void BenchTopK() {
 
 int main() {
   using namespace zsky::bench;
-  PrintBanner("Extensions", "streaming / windowed / skyband / top-k",
-              "wall time, single thread");
-  BenchStreaming();
-  BenchWindowed();
+  PrintBanner("Extensions", "skyband / top-k", "wall time, single thread");
   BenchSkyband();
   BenchTopK();
   return 0;

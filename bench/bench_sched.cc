@@ -1,6 +1,6 @@
-// Scheduling bench (docs/scheduling.md): the three headline numbers of
-// the morsel-driven scheduler + cost-based planner, emitted to
-// BENCH_sched.json for the scripts/check.sh `sched` gate.
+// Scheduling bench (docs/scheduling.md): the two headline numbers of
+// the morsel-driven scheduler, emitted to BENCH_sched.json for the
+// scripts/check.sh `sched` gate.
 //
 //  1. skew      — wave-completion skew of the straggler workload (raw
 //                 shuffle, tightly clustered 5d data, one wave of
@@ -11,18 +11,13 @@
 //                 scheduling on vs off. The scheduler must not tax the
 //                 balanced case: check.sh gates sched_ms against
 //                 BENCH_hotpath.json's hotpath_ms.
-//  3. planner   — ChoosePlan's predicted vs measured stage times on two
-//                 contrasting datasets (the adaptive-serving feedback
-//                 signal, before any calibration).
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <string>
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "core/planner.h"
 #include "partition/angle_partitioner.h"
 #include "partition/grid_partitioner.h"
 #include "sample/reservoir.h"
@@ -153,54 +148,8 @@ EndToEnd BenchEndToEnd(const PointSet& points) {
   return result;
 }
 
-// --- 3. Cost-based planner: predicted vs measured stage times, with the
-// default (uncalibrated) cost model. ---
-struct PlannerResult {
-  std::string dataset;
-  std::string chosen;
-  size_t candidates = 0;
-  double predicted_ms = 0.0;
-  double actual_ms = 0.0;
-  bool identical = false;
-  double RelErrPct() const {
-    return actual_ms > 0.0
-               ? 100.0 * (predicted_ms - actual_ms) / actual_ms
-               : 0.0;
-  }
-};
-
-PlannerResult BenchPlanner(const char* name, const PointSet& points) {
-  PlannerResult result;
-  result.dataset = name;
-  ExecutorOptions base;
-  base.bits = kBits;
-  base.num_threads = 4;
-  const PlanChoice choice = ChoosePlan(points, base);
-  result.chosen = choice.options.Label() + "/g" +
-                  std::to_string(choice.options.num_groups);
-  result.candidates = choice.candidates.size();
-  result.predicted_ms = choice.predicted_total_ms;
-  const ParallelSkylineExecutor executor(choice.options);
-  SkylineIndices skyline;
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto run = executor.Execute(points);
-    const double ms = run.metrics.job1_ms + run.metrics.job2_ms;
-    if (rep == 0 || ms < best) best = ms;
-    skyline = run.skyline;
-  }
-  result.actual_ms = best;
-  // The chosen plan must still be exact.
-  ExecutorOptions reference = base;
-  reference.morsel_scheduling = false;
-  result.identical =
-      skyline == ParallelSkylineExecutor(reference).Execute(points).skyline;
-  return result;
-}
-
 void WriteJson(const SkewResult& grid, const SkewResult& angle,
-               const EndToEnd& e2e, const PlannerResult& p1,
-               const PlannerResult& p2) {
+               const EndToEnd& e2e) {
   std::FILE* f = std::fopen("BENCH_sched.json", "w");
   if (f == nullptr) {
     std::printf("!! cannot write BENCH_sched.json\n");
@@ -227,30 +176,17 @@ void WriteJson(const SkewResult& grid, const SkewResult& angle,
   std::fprintf(f,
                "  \"end_to_end\": {\"workload\": \"independent 500k x 8d\", "
                "\"static_ms\": %.3f, \"sched_ms\": %.3f, \"identical\": %s, "
-               "\"stolen\": %zu, \"morsels\": %zu},\n",
+               "\"stolen\": %zu, \"morsels\": %zu}\n",
                e2e.static_ms, e2e.sched_ms, e2e.identical ? "true" : "false",
                e2e.stolen, e2e.morsels);
-  auto planner = [&](const PlannerResult& p, bool last) {
-    std::fprintf(f,
-                 "    {\"dataset\": \"%s\", \"chosen\": \"%s\", "
-                 "\"candidates\": %zu, \"predicted_ms\": %.3f, "
-                 "\"actual_ms\": %.3f, \"rel_err_pct\": %.1f, "
-                 "\"identical\": %s}%s\n",
-                 p.dataset.c_str(), p.chosen.c_str(), p.candidates,
-                 p.predicted_ms, p.actual_ms, p.RelErrPct(),
-                 p.identical ? "true" : "false", last ? "" : ",");
-  };
-  std::fprintf(f, "  \"planner\": [\n");
-  planner(p1, false);
-  planner(p2, true);
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_sched.json\n");
 }
 
 int Main() {
-  PrintBanner("sched", "morsel scheduling + cost-based planner headline",
-              "skew ablation, hotpath guard, planner error");
+  PrintBanner("sched", "morsel scheduling headline",
+              "skew ablation, hotpath guard");
 
   const Quantizer quantizer(kBits);
   const auto clustered_values = GenerateClustered(100'000, 5, 2, 0.03, 11);
@@ -273,33 +209,15 @@ int Main() {
               e2e.static_ms, e2e.sched_ms, e2e.stolen, e2e.morsels,
               e2e.identical ? "yes" : "NO");
 
-  const PlannerResult p1 =
-      BenchPlanner("correlated-4d-100k",
-                   MakeData(Distribution::kCorrelated, 100'000, 4, 7));
-  const PlannerResult p2 =
-      BenchPlanner("anticorrelated-8d-50k",
-                   MakeData(Distribution::kAnticorrelated, 50'000, 8, 9));
-  std::printf("\n%-24s %-18s %12s %12s %8s %6s\n", "planner", "chosen",
-              "predicted", "actual", "err", "match");
-  for (const PlannerResult* p : {&p1, &p2}) {
-    std::printf("%-24s %-18s %10.1fms %10.1fms %+6.0f%% %6s\n",
-                p->dataset.c_str(), p->chosen.c_str(), p->predicted_ms,
-                p->actual_ms, p->RelErrPct(), p->identical ? "yes" : "NO");
-  }
-
   std::printf("\n# CSV,skew,grid,%.3f,%.3f,%.3f\n", grid.static_skew,
               grid.morsel_skew, grid.Reduction());
   std::printf("# CSV,skew,angle,%.3f,%.3f,%.3f\n", angle.static_skew,
               angle.morsel_skew, angle.Reduction());
   std::printf("# CSV,end_to_end,%.3f,%.3f\n", e2e.static_ms, e2e.sched_ms);
-  std::printf("# CSV,planner,%s,%.3f,%.3f\n", p1.chosen.c_str(),
-              p1.predicted_ms, p1.actual_ms);
-  std::printf("# CSV,planner,%s,%.3f,%.3f\n", p2.chosen.c_str(),
-              p2.predicted_ms, p2.actual_ms);
 
-  WriteJson(grid, angle, e2e, p1, p2);
+  WriteJson(grid, angle, e2e);
   const bool ok = grid.identical && angle.identical && e2e.identical &&
-                  p1.identical && p2.identical && grid.Reduction() >= 2.0;
+                  grid.Reduction() >= 2.0;
   return ok ? 0 : 1;
 }
 

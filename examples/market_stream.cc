@@ -1,11 +1,16 @@
-// Streaming skyline over a live feed: maintain the "efficient frontier"
-// of listings as offers arrive, using StreamingSkyline (the online
-// counterpart of the batch pipeline).
+// Live market feed: maintain the "efficient frontier" of listings as
+// offers arrive, through the serving layer's write path. The service
+// starts from an empty base; each tick's offers are one
+// QueryService::Insert batch, and the dashboard reads the frontier with
+// Query().
 //
 // Scenario: a used-car marketplace streams offers (price, mileage, age,
-// distance-to-buyer — all minimized). The dashboard keeps the current
-// not-dominated set updated per arrival instead of recomputing batches.
+// distance-to-buyer — all minimized). Inserts land in the delta overlay
+// (docs/updates.md), which folds into a fresh base every
+// delta_merge_threshold rows. At the end the frontier is checked against
+// a batch skyline of the whole stream.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "zsky.h"
@@ -15,15 +20,20 @@ int main() {
 
   constexpr uint32_t kDim = 4;
   constexpr size_t kOffers = 200'000;
+  constexpr size_t kTick = 1'000;  // Offers per Insert batch.
+  static_assert(kOffers % kTick == 0);
   const Quantizer quantizer(16);
-  const ZOrderCodec codec(kDim, quantizer.bits());
 
-  StreamingSkyline frontier(&codec);
+  QueryServiceOptions options;
+  options.executor.bits = quantizer.bits();
+  QueryService market(options, PointSet(kDim));
+
   Rng rng(99);
-  Stopwatch watch;
-  size_t entered = 0;
-
+  PointSet stream(kDim);  // The whole feed, kept for the final check.
+  stream.Reserve(kOffers);
+  PointSet tick(kDim);
   std::vector<Coord> offer(kDim);
+  Stopwatch watch;
   for (size_t i = 0; i < kOffers; ++i) {
     // Correlated listing: newer cars cost more and have fewer miles.
     const double age = rng.NextDouble();
@@ -37,27 +47,35 @@ int main() {
     offer[1] = quantizer.Quantize(mileage);
     offer[2] = quantizer.Quantize(age);
     offer[3] = quantizer.Quantize(distance);
-    if (frontier.Insert(offer, static_cast<uint32_t>(i))) ++entered;
+    tick.Append(offer);
+    stream.Append(offer);
+    if (tick.size() < kTick) continue;
 
+    const MutationResult inserted = market.Insert(tick);
+    if (!inserted.ok) {
+      std::fprintf(stderr, "insert failed: %s\n", inserted.error.c_str());
+      return 1;
+    }
+    tick.Clear();
     if ((i + 1) % 50'000 == 0) {
-      std::printf("after %7zu offers: frontier %5zu  (entered %6zu, "
-                  "rejected %6zu, evicted %6zu)  %.1f ms elapsed\n",
-                  i + 1, frontier.size(), entered,
-                  frontier.rejected_total(), frontier.evicted_total(),
-                  watch.ElapsedMs());
+      const QueryService::Stats stats = market.stats();
+      std::printf("after %7zu offers: frontier %5zu  (fast-path rejects "
+                  "%6zu, merges %2zu)  %.1f ms elapsed\n",
+                  i + 1, market.Query().skyline.size(),
+                  stats.fast_path_inserts, stats.merges, watch.ElapsedMs());
     }
   }
 
+  const SkylineIndices frontier = market.Query().skyline;
   const double total_ms = watch.ElapsedMs();
   std::printf("\nprocessed %zu offers in %.1f ms (%.0f offers/ms)\n",
               kOffers, total_ms, kOffers / total_ms);
   std::printf("final frontier: %zu listings\n", frontier.size());
 
-  // Cross-check against a batch run over the retained history would need
-  // the full stream stored; here we verify internal accounting instead.
-  const bool consistent =
-      frontier.seen_total() ==
-      frontier.size() + frontier.rejected_total() + frontier.evicted_total();
-  std::printf("accounting consistent: %s\n", consistent ? "yes" : "NO");
-  return consistent ? 0 : 1;
+  // Logical ids are arrival order: the stream has no deletes, so every
+  // merge keeps all rows in insertion order.
+  const bool exact = frontier == BnlSkyline(stream);
+  std::printf("frontier matches the batch skyline of the stream: %s\n",
+              exact ? "yes" : "NO");
+  return exact ? 0 : 1;
 }

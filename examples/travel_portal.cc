@@ -1,15 +1,19 @@
 // Travel portal: one dataset, four skyline query flavours.
 //
 // A flight-search backend keeps offers as (price, duration, stops,
-// departure-shift) — all minimized — and answers:
+// departure-shift) — all minimized — and answers every flavour with the
+// one parallel pipeline, each flavour a QueryDesc:
 //   1. the plain skyline ("best trade-offs overall"),
-//   2. a constrained skyline ("...under $400 and at most 1 stop"),
-//   3. a subspace skyline ("I only care about price and duration"),
-//   4. a 3-skyband ranked top-5 ("a deeper shortlist, best first").
+//   2. a constrained skyline ("...under $400 and at most 1 stop"): a box,
+//   3. a subspace skyline ("I only care about price and duration"): dims,
+//   4. a 3-skyband ranked top-5 ("a deeper shortlist, best first"): k.
+// The example checks its own answers: the plain skyline with
+// VerifySkyline, the box and subspace flavours against OracleQuery.
 
 #include <algorithm>
 #include <cstdio>
 
+#include "algo/oracle.h"
 #include "zsky.h"
 
 namespace {
@@ -57,54 +61,55 @@ void PrintOffer(const PointSet& offers, const Quantizer& quantizer,
 int main() {
   const Quantizer quantizer(16);
   const PointSet offers = MakeOffers(150'000, quantizer, 13);
-  const ZOrderCodec codec(kDim, quantizer.bits());
   std::printf("offers: %zu, criteria: price/duration/stops/dep-shift "
               "(all minimized)\n\n",
               offers.size());
 
-  // 1. Plain skyline via the cost-based planned pipeline.
-  ExecutorOptions base;
-  base.bits = quantizer.bits();
-  const PlanChoice plan = ChoosePlan(offers, base);
-  std::printf("planner: %s (estimated skyline fraction %.1f%%)\n",
-              plan.rationale.c_str(),
-              100.0 * plan.estimated_skyline_fraction);
-  const SkylineQueryResult result =
-      ParallelSkylineExecutor(plan.options).Execute(offers);
+  ExecutorOptions options;
+  options.bits = quantizer.bits();
+  const ParallelSkylineExecutor executor(options);
+
+  // 1. Plain skyline.
+  const SkylineQueryResult result = executor.Execute(offers);
   std::printf("1. skyline: %zu offers (%s)\n", result.skyline.size(),
-              FormatRunSummary(plan.options, offers.size(), result).c_str());
+              FormatRunSummary(options, offers.size(), result).c_str());
 
   // 2. Constrained skyline: price <= 0.4 (about $400 normalized), at most
   //    1 stop, anything else unconstrained.
-  RTree rtree(offers);
-  std::vector<Coord> lo(kDim, 0);
-  std::vector<Coord> hi{quantizer.Quantize(0.4), quantizer.max_value(),
-                        quantizer.Quantize(1.0 / 3.0),
-                        quantizer.max_value()};
-  const SkylineIndices constrained =
-      ConstrainedSkyline(codec, offers, rtree, lo, hi);
+  QueryDesc box;
+  box.box_lo.assign(kDim, 0);
+  box.box_hi = {quantizer.Quantize(0.4), quantizer.max_value(),
+                quantizer.Quantize(1.0 / 3.0), quantizer.max_value()};
+  const SkylineIndices constrained = executor.Execute(offers, box).skyline;
   std::printf("2. constrained skyline (price<=0.4, stops<=1): %zu offers\n",
               constrained.size());
 
   // 3. Subspace skyline: price & duration only.
-  const std::vector<uint32_t> dims{0, 1};
-  const SkylineIndices subspace = SubspaceSkyline(offers, dims);
+  QueryDesc subspace;
+  subspace.dims = {0, 1};
+  const SkylineIndices projected = executor.Execute(offers, subspace).skyline;
   std::printf("3. subspace skyline (price, duration): %zu offers\n",
-              subspace.size());
+              projected.size());
 
   // 4. 3-skyband, ranked, top 5.
   QueryDesc band_desc;
   band_desc.k = 3;
-  const SkylineQueryResult band =
-      ParallelSkylineExecutor(base).Execute(offers, band_desc);
+  const SkylineQueryResult band = executor.Execute(offers, band_desc);
   const auto top =
       TopKSkyline(offers, band.skyline, 5, SkylineRank::kScoreSum);
   std::printf("4. 3-skyband: %zu offers; top 5 by score:\n",
               band.skyline.size());
   for (const RankedPoint& rp : top) PrintOffer(offers, quantizer, rp.row);
 
-  // Sanity: the library can verify its own answer.
-  const bool ok = !VerifySkyline(offers, result.skyline).has_value();
-  std::printf("\nskyline verified: %s\n", ok ? "yes" : "NO (bug!)");
-  return ok ? 0 : 1;
+  // Sanity: the library can check its own answers.
+  const Coord max_coord = quantizer.max_value();
+  const bool skyline_ok = !VerifySkyline(offers, result.skyline).has_value();
+  const bool box_ok = constrained == OracleQuery(offers, box, max_coord);
+  const bool subspace_ok =
+      projected == OracleQuery(offers, subspace, max_coord);
+  std::printf("\nskyline verified: %s; constrained and subspace match the "
+              "oracle: %s\n",
+              skyline_ok ? "yes" : "NO (bug!)",
+              box_ok && subspace_ok ? "yes" : "NO (bug!)");
+  return skyline_ok && box_ok && subspace_ok ? 0 : 1;
 }

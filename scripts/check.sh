@@ -25,8 +25,8 @@
 # — proving every span/counter call site is race-free while the whole
 # pipeline records.
 #
-# `scripts/check.sh sched` runs the morsel-scheduler + cost-based-planner
-# tests (worker-pool stealing, collapse parity, adaptive service) under
+# `scripts/check.sh sched` runs the morsel-scheduler tests (worker-pool
+# stealing, collapse parity, the pipeline and the service) under
 # ThreadSanitizer, then bench_sched in Release — which self-checks the
 # >=2x straggler-skew reduction — and fails if the scheduled end-to-end
 # time regresses >10% over the committed BENCH_hotpath.json baseline.
@@ -50,8 +50,9 @@
 #
 # `scripts/check.sh updates` exercises the incremental-maintenance write
 # path (docs/updates.md): the mutation fuzz + committed corpus replays,
-# the scheme x local update-parity matrix, and the QueryService update
-# unit tests under AddressSanitizer; the concurrent mutator/reader fuzz
+# the scheme x local update-parity matrix, the QueryService update unit
+# tests and the stream and sliding-window suites (service_stream_test)
+# under AddressSanitizer; the concurrent mutator/reader fuzz
 # under ThreadSanitizer; a CLI insert/delete round trip; a 200-seed
 # mutation-fuzz sweep in Release on a heap base and on a .zsc base
 # (ZSKY_FUZZ_SEED 1000..1199, each seed running both backings, stopping at
@@ -148,14 +149,14 @@ if [ "${1:-}" = "asan" ]; then
 fi
 
 if [ "${1:-}" = "sched" ]; then
-  echo "=== Scheduler + planner tests under TSan ==="
+  echo "=== Scheduler tests under TSan ==="
   cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DZSKY_SANITIZE=thread \
         -DZSKY_BUILD_BENCHMARKS=OFF -DZSKY_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan --target mapreduce_test executor_test \
-        query_service_test planner_test
+        query_service_test
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'WorkerPool|MapReduceJob|Executor|Pipeline|QueryService|ChoosePlan'
+        -R 'WorkerPool|MapReduceJob|Executor|Pipeline|QueryService'
 
   echo "=== bench_sched vs committed hotpath baseline ==="
   cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -222,7 +223,7 @@ if [ "${1:-}" = "queries" ]; then
   cmake --build build-asan --target query_variants_test query_plan_test \
         fuzz_test query_service_test
   ctest --test-dir build-asan --output-on-failure \
-        -R 'QueryVariant|VariantCache|BoxPruning|ConstrainedOracle|QueryServiceVariant|QueryServiceFuzz|ProjectDimsInto|PlanReuse|EstimatePlanCost'
+        -R 'QueryVariant|VariantCache|BoxPruning|BoxQuery|DimsQuery|QueryServiceVariant|QueryServiceFuzz|ProjectDimsInto|PlanReuse'
 
   echo "=== CLI variant-flag round trip (Release) ==="
   cmake -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -359,9 +360,9 @@ if [ "${1:-}" = "updates" ]; then
         -DZSKY_SANITIZE=address \
         -DZSKY_BUILD_BENCHMARKS=OFF -DZSKY_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-asan --target fuzz_test update_parity_test \
-        query_service_test
+        query_service_test service_stream_test
   ctest --test-dir build-asan --output-on-failure \
-        -R 'QueryServiceMutate|QueryServiceUpdates|UpdateParity|QueryServiceFuzz'
+        -R 'QueryServiceMutate|QueryServiceUpdates|UpdateParity|QueryServiceFuzz|QueryServiceStream|QueryServiceWindow'
 
   echo "=== Concurrent mutators/readers under TSan ==="
   cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,6 +1,5 @@
 #include "algo/subspace.h"
 
-#include "algo/sort_based.h"
 #include "common/macros.h"
 
 namespace zsky {
@@ -23,19 +22,6 @@ void ProjectDimsInto(const PointSet& points, std::span<const uint32_t> dims,
                    std::span<Coord>(raw.data() + i * dims.size(),
                                     dims.size()));
   }
-}
-
-PointSet ProjectDims(const PointSet& points,
-                     std::span<const uint32_t> dims) {
-  PointSet projected(static_cast<uint32_t>(dims.size()));
-  ProjectDimsInto(points, dims, {}, 0, projected);
-  return projected;
-}
-
-SkylineIndices SubspaceSkyline(const PointSet& points,
-                               std::span<const uint32_t> dims) {
-  if (points.empty()) return {};
-  return SortBasedSkyline(ProjectDims(points, dims));
 }
 
 }  // namespace zsky

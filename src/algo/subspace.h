@@ -3,20 +3,14 @@
 
 #include <span>
 
-#include "algo/skyline.h"
 #include "common/point_set.h"
 
 namespace zsky {
 
-// Subspace skyline: the skyline when only the dimensions in `dims` count
-// (the standard "which criteria matter to *this* user" extension).
-// `dims` must be non-empty, unique, and within points.dim().
-//
-// Note that a full-space skyline point need not be a subspace skyline
-// point and vice versa (only for distinct-value data is the subspace
-// skyline a subset of the full skyline).
-SkylineIndices SubspaceSkyline(const PointSet& points,
-                               std::span<const uint32_t> dims);
+// Projection onto a dimension subset, the transform behind subspace and
+// flipped query variants (common/query_desc.h). Only the dimensions in
+// `dims` count for dominance in the projected space; `dims` must be
+// non-empty, unique, and within the source dimensionality.
 
 // Projects one row onto `dims`, optionally flipping directions:
 // out[j] = flip[j] ? max_coord - p[dims[j]] : p[dims[j]]. The flip turns a
@@ -25,9 +19,9 @@ SkylineIndices SubspaceSkyline(const PointSet& points,
 // the projected space. `flip` may be empty (no flips); otherwise it is
 // parallel to `dims`. `out` must have dims.size() entries.
 //
-// This is THE projection loop: ProjectDims, the query-variant plan build
-// (core/query_plan.cc) and the pipeline's mapper transform all call it,
-// allocation-free.
+// This is THE projection loop: the query-variant plan build
+// (core/query_plan.cc), the pipeline's mapper transform, the delta
+// overlay and the oracle all call it, allocation-free.
 inline void ProjectRowInto(std::span<const Coord> p,
                            std::span<const uint32_t> dims,
                            std::span<const uint8_t> flip, Coord max_coord,
@@ -42,17 +36,13 @@ inline void ProjectRowInto(std::span<const Coord> p,
   }
 }
 
-// Allocation-free ProjectDims for callers holding scratch: clears `out`
-// (whose dim() must equal dims.size()) and fills it with the projected —
-// and optionally direction-flipped — rows of `points`, preserving row
-// order. Reuses `out`'s capacity across calls.
+// Whole-set projection for callers holding scratch: clears `out` (whose
+// dim() must equal dims.size()) and fills it with the projected — and
+// optionally direction-flipped — rows of `points`, preserving row order.
+// Reuses `out`'s capacity across calls.
 void ProjectDimsInto(const PointSet& points, std::span<const uint32_t> dims,
                      std::span<const uint8_t> flip, Coord max_coord,
                      PointSet& out);
-
-// Projects `points` onto `dims` (helper for subspace queries; exposed for
-// reuse and tests). Allocating convenience wrapper over ProjectDimsInto.
-PointSet ProjectDims(const PointSet& points, std::span<const uint32_t> dims);
 
 }  // namespace zsky
 

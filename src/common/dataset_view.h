@@ -13,7 +13,7 @@ namespace zsky {
 
 // A non-owning, layout-polymorphic read view over a dataset.
 //
-// The pipeline (plan build, both MR jobs, the planner) consumes points
+// The pipeline (plan build, both MR jobs) consumes points
 // through this view so the same code serves two physical layouts:
 //  - row-major: a heap-resident PointSet (the in-memory path). Rows are
 //    contiguous; `row()` is a zero-copy span.

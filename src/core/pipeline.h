@@ -21,11 +21,11 @@ using CandidateList = std::vector<std::pair<int32_t, uint32_t>>;
 
 // The two MapReduce jobs of the paper's pipeline, expressed over a
 // `const PreparedPlan&` so the preprocessing artifacts are built once and
-// shared across queries (and so the planner can price a plan without
-// running it). Both functions only *read* the plan; they are safe to call
-// concurrently on one plan from different threads as long as each call
-// uses its own PhaseMetrics and the two calls do not share a WorkerPool
-// wave sequence (see core/query_service.h for the serving-side gate).
+// shared across queries. Both functions only *read* the plan; they are
+// safe to call concurrently on one plan from different threads as long as
+// each call uses its own PhaseMetrics and the two calls do not share a
+// WorkerPool wave sequence (see core/query_service.h for the serving-side
+// gate).
 //
 // `options` supplies the pipeline knobs (map-task counts, threads, merge
 // algorithm, combiner, retry policy, simulated-cluster model). Its

@@ -1,7 +1,6 @@
 #include "core/query_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -11,7 +10,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "core/calibration_io.h"
 #include "core/metrics_registry.h"
 #include "core/pipeline.h"
 
@@ -47,29 +45,11 @@ QueryService::QueryService(const QueryServiceOptions& options)
   // The service owns the one pool every query runs on; the pipeline must
   // use it (spawn-per-wave is the legacy single-shot ablation path).
   options_.executor.reuse_worker_pool = true;
-  if (!options_.calibration_file.empty()) {
-    // Best-effort warm start: a missing or malformed file is a cold start,
-    // not an error (first run, wiped state dir).
-    std::string error;
-    if (ReadCalibrationFile(options_.calibration_file, &calibration_,
-                            &error)) {
-      MetricsRegistry::Global().counter("calibration_loads").Increment();
-    }
-  }
 }
 
 QueryService::QueryService(const QueryServiceOptions& options, PointSet points)
     : QueryService(options) {
   SetDataset(std::move(points));
-}
-
-QueryService::~QueryService() {
-  if (options_.calibration_file.empty()) return;
-  std::string error;
-  if (WriteCalibrationFile(options_.calibration_file, calibration(),
-                           &error)) {
-    MetricsRegistry::Global().counter("calibration_saves").Increment();
-  }
 }
 
 void QueryService::SetDataset(PointSet points) {
@@ -112,11 +92,6 @@ bool QueryService::SetDatasetFile(const std::string& path,
 QueryService::Stats QueryService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-PlanCalibration QueryService::calibration() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return calibration_;
 }
 
 DeltaStats QueryService::delta_stats() const {
@@ -169,7 +144,7 @@ std::vector<uint32_t> QueryService::base_witnesses() {
 }
 
 std::pair<std::shared_ptr<const QueryService::Snapshot>, bool>
-QueryService::AcquireSnapshot(const QueryDesc& desc) {
+QueryService::AcquireSnapshot() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // While a rebuild is running, has_pending_ is already false but
@@ -177,76 +152,33 @@ QueryService::AcquireSnapshot(const QueryDesc& desc) {
     // the build, not serve stale data (the fuzz test catches this under
     // TSan timing).
     if (!building_) {
-      if (snapshot_ != nullptr && !has_pending_ && !replan_pending_) {
-        return {snapshot_, false};
-      }
+      if (snapshot_ != nullptr && !has_pending_) return {snapshot_, false};
       break;  // Elected: this thread builds.
     }
     build_cv_.wait(lock);
   }
-  ZSKY_CHECK_MSG(has_pending_ || replan_pending_,
-                 "QueryService::Query before SetDataset");
+  ZSKY_CHECK_MSG(has_pending_, "QueryService::Query before SetDataset");
   building_ = true;
   auto snap = std::make_shared<Snapshot>();
-  if (has_pending_) {
-    auto base = std::make_shared<SnapshotBase>();
-    if (pending_mapped_ != nullptr) {
-      base->mapped = std::move(pending_mapped_);
-      pending_mapped_.reset();
-    } else {
-      base->points = std::move(pending_points_);
-      pending_points_ = PointSet(1);
-    }
-    // The view borrows the base's own backing, so it is built only after
-    // the points/mapping have reached their final address.
-    base->view = base->mapped != nullptr ? base->mapped->view()
-                                         : DatasetView(base->points);
-    snap->base = std::move(base);
-    has_pending_ = false;
-    // delta stays null: a fresh dataset has no write history.
+  auto base = std::make_shared<SnapshotBase>();
+  if (pending_mapped_ != nullptr) {
+    base->mapped = std::move(pending_mapped_);
+    pending_mapped_.reset();
   } else {
-    // Replan: same dataset (shared by pointer — the base outlives every
-    // snapshot layered on it), same delta, fresh plan under the updated
-    // calibration.
-    snap->base = snapshot_->base;
-    snap->delta = snapshot_->delta;
+    base->points = std::move(pending_points_);
+    pending_points_ = PointSet(1);
   }
-  replan_pending_ = false;
-  snap->calibration = calibration_;
+  // The view borrows the base's own backing, so it is built only after
+  // the points/mapping have reached their final address.
+  base->view = base->mapped != nullptr ? base->mapped->view()
+                                       : DatasetView(base->points);
+  snap->base = std::move(base);
+  has_pending_ = false;
+  // delta stays null: a fresh dataset has no write history.
 
   lock.unlock();  // PreparePlan is the expensive part; build unlocked.
-  const DatasetView& view = snap->base->view;
-  ExecutorOptions exec = options_.executor;
-  double choose_ms = 0.0;
-  if (options_.adaptive_planning) {
-    Stopwatch choose_watch;
-    // Price candidates for the electing query's variant: a tight box
-    // shrinks the predicted shuffle/merge volumes (post-constraint
-    // survivor estimate from the sample).
-    snap->choice = ChoosePlan(view, exec, snap->calibration, &desc);
-    choose_ms = choose_watch.ElapsedMs();
-    snap->adaptive = true;
-    exec = snap->choice.options;
-    ZSKY_TRACE_INSTANT("service.choose_plan",
-                       "{\"label\":\"" + exec.Label() + "\"}");
-  }
-  auto plan = std::make_shared<PreparedPlan>(PreparePlan(view, exec));
-  plan->build_ms += choose_ms;  // The choice is part of preprocessing.
-  std::shared_ptr<const PreparedPlan> final_plan = std::move(plan);
-  bool patched = false;
-  if (snap->delta != nullptr && snap->delta->base_alive != nullptr &&
-      snap->delta->alive_base_rows() > 0) {
-    // A replan's fresh reservoir sample may have drawn rows the delta has
-    // tombstoned; re-patch so the plan's filter never references a dead
-    // row.
-    auto repaired =
-        PatchPlanForDeletes(*final_plan, view, *snap->delta->base_alive);
-    if (repaired != nullptr) {
-      final_plan = std::move(repaired);
-      patched = true;
-    }
-  }
-  snap->plan = std::move(final_plan);
+  snap->plan = std::make_shared<PreparedPlan>(
+      PreparePlan(snap->base->view, options_.executor));
   lock.lock();
 
   snapshot_ = snap;
@@ -254,7 +186,6 @@ QueryService::AcquireSnapshot(const QueryDesc& desc) {
   // Published, unless a newer SetDataset is already waiting.
   if (!has_pending_) installing_rows_.reset();
   ++stats_.plan_builds;
-  if (patched) ++stats_.plan_patches;
   stats_.plan_build_ms_total += snap->plan->build_ms;
   build_cv_.notify_all();
   return {std::move(snap), true};
@@ -265,10 +196,11 @@ bool QueryService::TryPublish(const std::shared_ptr<const Snapshot>& from,
   std::lock_guard<std::mutex> lock(mu_);
   // Fail when the world moved while the mutation was being built: a
   // SetDataset is pending (the batch must land on the new dataset), a
-  // plan rebuild is mid-flight (its publish would clobber ours), or a
-  // replan already swapped the snapshot. The caller re-acquires and
-  // rebuilds its batch — mutations serialize on mutate_mu_, so the only
-  // racers are read-side plan rebuilds, which converge.
+  // plan build is mid-flight (its publish would clobber ours), or a build
+  // for a newer dataset already swapped the snapshot. The caller
+  // re-acquires and rebuilds its batch — mutations serialize on
+  // mutate_mu_, so the only racers are read-side plan builds, which
+  // converge.
   if (building_ || has_pending_ || snapshot_ != from) return false;
   snapshot_ = std::move(next);
   return true;
@@ -334,7 +266,7 @@ MutationResult QueryService::Insert(const PointSet& points) {
 
   for (;;) {
     result = MutationResult{};
-    auto acquired = AcquireSnapshot(QueryDesc{});
+    auto acquired = AcquireSnapshot();
     const std::shared_ptr<const Snapshot>& snap = acquired.first;
     const DatasetView& view = snap->base->view;
     if (points.dim() != view.dim()) {
@@ -458,7 +390,7 @@ MutationResult QueryService::Delete(std::span<const uint32_t> ids) {
   bool repaired = false;  // The published batch killed band members.
   for (;;) {
     result = MutationResult{};
-    auto acquired = AcquireSnapshot(QueryDesc{});
+    auto acquired = AcquireSnapshot();
     const std::shared_ptr<const Snapshot>& snap = acquired.first;
     const DatasetView& view = snap->base->view;
     auto delta = snap->delta != nullptr
@@ -624,7 +556,7 @@ bool QueryService::Merge() {
 bool QueryService::MergeLocked(MutationResult* result) {
   ZSKY_TRACE_SPAN("service.merge");
   for (;;) {
-    auto acquired = AcquireSnapshot(QueryDesc{});
+    auto acquired = AcquireSnapshot();
     const std::shared_ptr<const Snapshot>& snap = acquired.first;
     const std::shared_ptr<const DeltaState>& delta = snap->delta;
     if (delta == nullptr ||
@@ -677,25 +609,8 @@ bool QueryService::MergeLocked(MutationResult* result) {
     // AcquireSnapshot build), off every lock.
     auto next = std::make_shared<Snapshot>();
     next->base = std::move(base);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      next->calibration = calibration_;
-    }
-    ExecutorOptions exec = options_.executor;
-    double choose_ms = 0.0;
-    if (options_.adaptive_planning) {
-      Stopwatch choose_watch;
-      const QueryDesc default_desc;
-      next->choice =
-          ChoosePlan(next->base->view, exec, next->calibration, &default_desc);
-      choose_ms = choose_watch.ElapsedMs();
-      next->adaptive = true;
-      exec = next->choice.options;
-    }
-    auto plan =
-        std::make_shared<PreparedPlan>(PreparePlan(next->base->view, exec));
-    plan->build_ms += choose_ms;
-    next->plan = std::move(plan);
+    next->plan = std::make_shared<PreparedPlan>(
+        PreparePlan(next->base->view, options_.executor));
 
     // Carry the band and its witnesses across the merge: the exact
     // skyline of the merged base is the default overlay answer over the
@@ -752,7 +667,7 @@ SkylineQueryResult QueryService::Query(const QueryRequest& request) {
 }
 
 SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
-  auto acquired = AcquireSnapshot(request.desc);
+  auto acquired = AcquireSnapshot();
   const std::shared_ptr<const Snapshot>& snap = acquired.first;
   const bool built_now = acquired.second;
   const DatasetView& view = snap->base->view;
@@ -785,9 +700,9 @@ SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
 
   Stopwatch pipeline_watch;
   // A band-only delta (carried across a merge) leaves the base as the exact
-  // logical dataset: non-default descs take the pristine pipeline (and its
-  // adaptive feedback) unchanged, while the default desc is answered from
-  // the carried band below — no pipeline run at all.
+  // logical dataset: non-default descs take the pristine pipeline
+  // unchanged, while the default desc is answered from the carried band
+  // below — no pipeline run at all.
   const bool pristine =
       delta == nullptr ||
       (!delta->has_changes() && !request.desc.IsDefault());
@@ -806,41 +721,6 @@ SkylineQueryResult QueryService::RunQuery(const QueryRequest& request) {
     }
     pm.total_ms = pm.preprocess_ms + pipeline_watch.ElapsedMs();
     pm.sim_total_ms = pm.preprocess_ms + pm.sim_job1_ms + pm.sim_job2_ms;
-
-    // Adaptive planning feedback: record predicted-vs-actual per-stage
-    // error, recalibrate the cost model from the measurement, and schedule
-    // a replan when the error is out of tolerance. Delta-overlay queries
-    // skip this — their stage times include overlay work the cost model
-    // does not price.
-    if (snap->adaptive) {
-      constexpr double kEps = 1e-6;
-      const double pred1 = std::max(snap->choice.predicted_job1_ms, kEps);
-      const double pred2 = std::max(snap->choice.predicted_job2_ms, kEps);
-      const double err1 =
-          std::abs(pm.job1_ms - pred1) / std::max(pm.job1_ms, kEps);
-      const double err2 =
-          std::abs(pm.job2_ms - pred2) / std::max(pm.job2_ms, kEps);
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      registry.histogram("plan_job1_rel_err_pct")
-          .Observe(static_cast<uint64_t>(err1 * 100.0));
-      registry.histogram("plan_job2_rel_err_pct")
-          .Observe(static_cast<uint64_t>(err2 * 100.0));
-
-      const double r1 = std::clamp(pm.job1_ms / pred1, 1e-3, 1e3);
-      const double r2 = std::clamp(pm.job2_ms / pred2, 1e-3, 1e3);
-      std::lock_guard<std::mutex> lock(mu_);
-      calibration_.job1_scale =
-          std::clamp(snap->calibration.job1_scale * r1, 1e-4, 1e6);
-      calibration_.job2_scale =
-          std::clamp(snap->calibration.job2_scale * r2, 1e-4, 1e6);
-      if ((err1 > options_.replan_threshold ||
-           err2 > options_.replan_threshold) &&
-          !replan_pending_ && !has_pending_) {
-        replan_pending_ = true;
-        ++stats_.replans;
-        registry.counter("plan_replans").Increment();
-      }
-    }
     return result;
   }
 

@@ -16,7 +16,6 @@
 #include "core/delta.h"
 #include "core/executor.h"
 #include "core/options.h"
-#include "core/planner.h"
 #include "core/query_plan.h"
 #include "io/columnar.h"
 #include "mapreduce/worker_pool.h"
@@ -47,26 +46,6 @@ struct QueryServiceOptions {
   // once; excess callers block until a slot frees. This caps the queue in
   // front of the pool gate (and the memory the queued queries pin).
   uint32_t max_in_flight = 8;
-
-  // Cost-based adaptive planning (docs/scheduling.md): plan builds run
-  // ChoosePlan over the dataset and use its chosen configuration
-  // (partitioning / local algorithm / merge / num_groups) instead of the
-  // fixed executor settings. After every query the predicted-vs-actual
-  // per-stage error is recorded in the metrics registry
-  // (plan_job1_rel_err_pct / plan_job2_rel_err_pct histograms); when
-  // either stage's relative error exceeds `replan_threshold` the cost
-  // model's calibration is updated from the measurement and the plan is
-  // rebuilt on the next query.
-  bool adaptive_planning = false;
-  double replan_threshold = 0.5;
-
-  // When non-empty, the learned PlanCalibration is persisted across
-  // restarts: the constructor loads the file if it exists (a missing or
-  // malformed file silently keeps the defaults — cold start) and the
-  // destructor writes the current calibration back. A restarted server
-  // therefore resumes from the constants the previous run converged to
-  // instead of re-learning them from scratch (core/calibration_io.h).
-  std::string calibration_file;
 
   // Write path (docs/updates.md): once the delta buffer holds this many
   // rows (inserts plus base tombstones) the mutation that crossed the
@@ -149,8 +128,6 @@ class QueryService {
   // Convenience: construct and install the first dataset. The plan is
   // still built lazily by the first Query().
   QueryService(const QueryServiceOptions& options, PointSet points);
-  // Persists the calibration when options().calibration_file is set.
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -227,7 +204,6 @@ class QueryService {
   struct Stats {
     size_t queries = 0;        // Completed Query() calls.
     size_t plan_builds = 0;    // Cold plan constructions (1 per dataset).
-    size_t replans = 0;        // Rebuilds triggered by prediction error.
     size_t peak_in_flight = 0; // Max concurrently admitted queries seen.
     double plan_build_ms_total = 0.0;
     double query_ms_total = 0.0;  // Sum of per-query total_ms.
@@ -242,16 +218,12 @@ class QueryService {
   };
   Stats stats() const;
 
-  // Current cost-model calibration (adaptive planning only; defaults
-  // otherwise). Exposed for tests and the CLI's --stats-every report.
-  PlanCalibration calibration() const;
-
  private:
   // The physical dataset backing of a snapshot: either heap `points` or
   // an mmap'd `mapped` file; `view` abstracts the two for the pipeline
   // and borrows storage owned by this object. Shared across snapshots
-  // (mutations and replans layer new plans/deltas over the same base), so
-  // it lives exactly as long as the last snapshot or in-flight query that
+  // (mutations layer new plans/deltas over the same base), so it lives
+  // exactly as long as the last snapshot or in-flight query that
   // references it — and a merge-produced `.zsc` (owned_path) is unlinked
   // by the destructor at that same moment: epoch-based file reclamation.
   struct SnapshotBase {
@@ -270,23 +242,12 @@ class QueryService {
     std::shared_ptr<const SnapshotBase> base;
     std::shared_ptr<const PreparedPlan> plan;
     std::shared_ptr<const DeltaState> delta;
-    // Adaptive planning: what the cost model chose and predicted for this
-    // snapshot (compared against measured stage times after every query),
-    // and the calibration the prediction was made under — feedback sets
-    // the service calibration to used * (actual / predicted), which is a
-    // fixed point across repeat queries of one snapshot.
-    bool adaptive = false;
-    PlanChoice choice;
-    PlanCalibration calibration;
   };
 
   // Returns the current snapshot, building the plan if this thread is the
-  // one elected to; second = true iff this call built the plan. The
-  // elected builder's `desc` informs the adaptive planner's cost model
-  // (post-constraint survivor pricing); it never shapes the plan cache
-  // key — all variants share one snapshot.
-  std::pair<std::shared_ptr<const Snapshot>, bool> AcquireSnapshot(
-      const QueryDesc& desc);
+  // one elected to; second = true iff this call built the plan. Every
+  // query variant shares the one snapshot and its plan.
+  std::pair<std::shared_ptr<const Snapshot>, bool> AcquireSnapshot();
   SkylineQueryResult RunQuery(const QueryRequest& request);
 
   // Write-path internals; all run under mutate_mu_.
@@ -316,11 +277,6 @@ class QueryService {
   uint32_t in_flight_ = 0;
   bool building_ = false;      // A thread is running PreparePlan.
   bool has_pending_ = false;   // SetDataset happened; plan not yet built.
-  // Adaptive planning: prediction error exceeded the threshold; the next
-  // AcquireSnapshot() re-runs ChoosePlan (with the updated calibration)
-  // over the current dataset.
-  bool replan_pending_ = false;
-  PlanCalibration calibration_;
   PointSet pending_points_{1};
   // Pending mmap'd dataset (SetDatasetFile); mutually exclusive with
   // pending_points_ holding data.

@@ -29,25 +29,20 @@
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/analysis.h"
-#include "core/calibration_io.h"
 #include "core/executor.h"
 #include "core/mr_gpmrs.h"
 #include "core/metrics_json.h"
 #include "core/metrics_registry.h"
 #include "core/options.h"
 #include "core/pipeline.h"
-#include "core/planner.h"
 #include "core/query_plan.h"
 #include "core/query_service.h"
 #include "core/report.h"
-#include "core/streaming.h"
-#include "core/windowed_skyline.h"
 #include "gen/synthetic.h"
 #include "io/binary.h"
 #include "io/columnar.h"
 #include "io/csv.h"
 #include "index/bbs.h"
-#include "index/constrained.h"
 #include "index/dynamic_skyline.h"
 #include "index/rtree.h"
 #include "index/zbtree.h"

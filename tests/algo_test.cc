@@ -3,6 +3,7 @@
 #include "algo/bnl.h"
 #include "algo/skyline.h"
 #include "algo/sort_based.h"
+#include "algo/verify.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
 
@@ -114,6 +115,45 @@ constexpr RandomCase kRandomCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(RandomInputs, SkylineOracleTest,
                          ::testing::ValuesIn(kRandomCases));
+
+TEST(VerifySkylineTest, AcceptsCorrectSkyline) {
+  const PointSet ps = GenerateQuantized(Distribution::kAnticorrelated, 500, 3,
+                                        1, Quantizer(12));
+  EXPECT_FALSE(VerifySkyline(ps, BnlSkyline(ps)).has_value());
+}
+
+TEST(VerifySkylineTest, DetectsDominatedMember) {
+  PointSet ps(2);
+  ps.Append({1, 1});
+  ps.Append({2, 2});
+  const auto violation = VerifySkyline(ps, {0, 1});
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->kind, SkylineViolation::Kind::kDominatedMember);
+  EXPECT_EQ(violation->row, 1u);
+  EXPECT_EQ(violation->witness, 0u);
+  EXPECT_NE(violation->ToString().find("dominated"), std::string::npos);
+}
+
+TEST(VerifySkylineTest, DetectsMissingMember) {
+  PointSet ps(2);
+  ps.Append({1, 2});
+  ps.Append({2, 1});
+  const auto violation = VerifySkyline(ps, {0});
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->kind, SkylineViolation::Kind::kMissingMember);
+  EXPECT_EQ(violation->row, 1u);
+}
+
+TEST(VerifySkylineTest, DetectsOutOfRangeAndDuplicates) {
+  PointSet ps(2);
+  ps.Append({1, 1});
+  auto violation = VerifySkyline(ps, {5});
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->kind, SkylineViolation::Kind::kOutOfRange);
+  violation = VerifySkyline(ps, {0, 0});
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->kind, SkylineViolation::Kind::kDuplicateMember);
+}
 
 }  // namespace
 }  // namespace zsky

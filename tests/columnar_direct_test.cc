@@ -312,9 +312,9 @@ TEST(ColumnarDirectMetricsTest, TransposeBytesZeroOnDirectPlan) {
   std::remove(path.c_str());
 }
 
-// With the SZB filter off (as ChoosePlan sets it at extreme
-// dimensionality) a plain query still takes the mask wave: no block to
-// scan, every alive row goes to the router, nothing is transposed.
+// With the SZB filter off (the paper's filter ablation) a plain query
+// still takes the mask wave: no block to scan, every alive row goes to the
+// router, nothing is transposed.
 TEST(ColumnarDirectMetricsTest, MaskWaveRunsWithoutTheSzbFilter) {
   const PointSet points = GenerateQuantized(Distribution::kAnticorrelated,
                                             8000, 5, 322, Quantizer(kBits));

@@ -4,9 +4,11 @@
 #include "algo/skyband.h"
 #include "common/quantizer.h"
 #include "core/executor.h"
+#include "core/metrics_json.h"
 #include "core/mr_gpmrs.h"
 #include "core/pipeline.h"
 #include "core/query_plan.h"
+#include "core/report.h"
 #include "gen/synthetic.h"
 
 namespace zsky {
@@ -597,6 +599,57 @@ TEST(ExecutorTest, Job2MapTasksFollowTheCandidates) {
                                 : std::min<size_t>(5, candidates);
     EXPECT_EQ(result.metrics.job2.map_tasks.size(), expected);
   }
+}
+
+TEST(ExecutorBbsLocalTest, MatchesOracle) {
+  const PointSet points = MakePoints(Distribution::kAnticorrelated, 4000, 4,
+                                     9);
+  ExecutorOptions options;
+  options.bits = kBits;
+  options.local = LocalAlgorithm::kBbs;
+  const auto result = ParallelSkylineExecutor(options).Execute(points);
+  EXPECT_EQ(result.skyline, BnlSkyline(points));
+}
+
+TEST(MetricsJsonTest, WellFormedAndComplete) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 4000, 4, 7);
+  ExecutorOptions options;
+  options.bits = kBits;
+  const auto result = ParallelSkylineExecutor(options).Execute(points);
+  const std::string json = MetricsToJson(result.metrics);
+  // Structural sanity: balanced braces, expected keys present.
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  size_t depth = 0;
+  for (char c : json) {
+    if (c == '{') ++depth;
+    if (c == '}') {
+      ASSERT_GT(depth, 0u);
+      --depth;
+    }
+  }
+  EXPECT_EQ(depth, 0u);
+  for (const char* key :
+       {"\"preprocess_ms\":", "\"sim_total_ms\":", "\"candidates\":",
+        "\"job1\":", "\"job2\":", "\"shuffle_records\":",
+        "\"reduce_skew\":", "\"succeeded\":true"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
+  }
+}
+
+TEST(ReportTest, FormatsWithoutTruncation) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 4000, 4, 8);
+  ExecutorOptions options;
+  options.bits = kBits;
+  const auto result = ParallelSkylineExecutor(options).Execute(points);
+  const std::string report = FormatPhaseMetrics(result.metrics);
+  EXPECT_NE(report.find("phases"), std::string::npos);
+  EXPECT_NE(report.find("candidates"), std::string::npos);
+  EXPECT_NE(report.find("balance"), std::string::npos);
+  const std::string summary =
+      FormatRunSummary(options, points.size(), result);
+  EXPECT_NE(summary.find("zdg"), std::string::npos);
+  EXPECT_NE(summary.find("skyline"), std::string::npos);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "algo/ranked.h"
 #include "algo/skyband.h"
 #include "algo/sort_based.h"
-#include "algo/subspace.h"
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "gen/synthetic.h"
@@ -186,43 +185,6 @@ TEST(TopKSkylineTest, KLargerThanSkyline) {
   const SkylineIndices sky = SortBasedSkyline(ps);
   const auto top = TopKSkyline(ps, 10'000, SkylineRank::kScoreSum);
   EXPECT_EQ(top.size(), sky.size());
-}
-
-TEST(SubspaceTest, ProjectionShape) {
-  const PointSet ps = MakePoints(Distribution::kIndependent, 100, 5, 30);
-  const std::vector<uint32_t> dims{4, 0, 2};
-  const PointSet projected = ProjectDims(ps, dims);
-  ASSERT_EQ(projected.dim(), 3u);
-  ASSERT_EQ(projected.size(), ps.size());
-  for (size_t i = 0; i < ps.size(); ++i) {
-    EXPECT_EQ(projected[i][0], ps[i][4]);
-    EXPECT_EQ(projected[i][1], ps[i][0]);
-    EXPECT_EQ(projected[i][2], ps[i][2]);
-  }
-}
-
-TEST(SubspaceTest, MatchesOracleOnProjection) {
-  const PointSet ps = MakePoints(Distribution::kAnticorrelated, 800, 5, 31);
-  const std::vector<uint32_t> dims{1, 3};
-  EXPECT_EQ(SubspaceSkyline(ps, dims),
-            NaiveSkyline(ProjectDims(ps, dims)));
-}
-
-TEST(SubspaceTest, FullSpaceEqualsRegularSkyline) {
-  const PointSet ps = MakePoints(Distribution::kIndependent, 600, 4, 32);
-  const std::vector<uint32_t> dims{0, 1, 2, 3};
-  EXPECT_EQ(SubspaceSkyline(ps, dims), SortBasedSkyline(ps));
-}
-
-TEST(SubspaceTest, SingleDimensionIsMinima) {
-  PointSet ps(3);
-  ps.Append({5, 0, 0});
-  ps.Append({1, 9, 9});
-  ps.Append({1, 8, 8});
-  const std::vector<uint32_t> dims{0};
-  // Both minimum-value rows survive (neither dominates the other in the
-  // 1-d subspace since they are equal there).
-  EXPECT_EQ(SubspaceSkyline(ps, dims), (SkylineIndices{1, 2}));
 }
 
 TEST(TopKSkylineTest, RankNames) {

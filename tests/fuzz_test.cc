@@ -27,7 +27,6 @@
 #include "common/quantizer.h"
 #include "common/rng.h"
 #include "core/query_service.h"
-#include "core/windowed_skyline.h"
 #include "gen/synthetic.h"
 #include "index/dynamic_skyline.h"
 #include "index/zbtree.h"
@@ -246,40 +245,6 @@ TEST_P(ZBTreeFuzz, AppendAndBulkTreesMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZBTreeFuzz, ::testing::Values(7u, 8u, 9u));
-
-class WindowedFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(WindowedFuzz, LongStreamSpotChecks) {
-  const uint64_t seed = GetParam();
-  Rng rng(seed);
-  const uint32_t dim = 2 + static_cast<uint32_t>(rng.NextBounded(3));
-  const size_t window = 64 + rng.NextBounded(200);
-  WindowedSkyline sky(dim, window);
-  PointSet history(dim);
-  for (int step = 0; step < 2500; ++step) {
-    const auto p = RandomPoint(rng, dim);
-    history.Append(p);
-    sky.Insert(p, static_cast<uint32_t>(step));
-    if (step % 311 == 310) {
-      // Brute-force skyline of the current window.
-      const size_t begin = history.size() >= window
-                               ? history.size() - window
-                               : 0;
-      SkylineIndices expected;
-      for (size_t i = begin; i < history.size(); ++i) {
-        bool dom = false;
-        for (size_t j = begin; j < history.size() && !dom; ++j) {
-          dom = j != i && Dominates(history[j], history[i]);
-        }
-        if (!dom) expected.push_back(static_cast<uint32_t>(i));
-      }
-      ASSERT_EQ(sky.CurrentIds(), expected) << "step " << step;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WindowedFuzz,
-                         ::testing::Values(11u, 12u, 13u));
 
 // QueryService randomized-op fuzz: a seeded sequence of SetDataset swaps,
 // single queries with random QueryDescs (random boxes, dim subsets,

@@ -7,7 +7,6 @@
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "core/executor.h"
-#include "core/planner.h"
 #include "core/query_plan.h"
 #include "gen/synthetic.h"
 
@@ -142,40 +141,6 @@ TEST(PreparePlanTest, GridPlanExposesTypedGridView) {
   ASSERT_NE(plan.grid, nullptr);
   EXPECT_EQ(plan.zgroup, nullptr);
   EXPECT_GT(plan.grid->num_groups(), 0u);
-}
-
-// The planner can price a built plan without running a query.
-TEST(EstimatePlanCostTest, UsesPlanStatisticsOnly) {
-  const PointSet points =
-      MakePoints(Distribution::kAnticorrelated, 4000, 4, 19);
-  const ExecutorOptions options =
-      BaseOptions(PartitioningScheme::kZdg, LocalAlgorithm::kZSearch);
-  const PreparedPlan plan = PreparePlan(points, options);
-
-  const PlanCostEstimate estimate = EstimatePlanCost(plan, points.size());
-  EXPECT_GT(estimate.expected_shuffle_records, 0u);
-  EXPECT_LE(estimate.expected_shuffle_records, points.size());
-  EXPECT_GT(estimate.expected_candidates, 0u);
-  EXPECT_LE(estimate.expected_candidates, estimate.expected_shuffle_records);
-  EXPECT_GE(estimate.szb_filter_rate, 0.0);
-  EXPECT_LT(estimate.szb_filter_rate, 1.0);
-  EXPECT_GE(estimate.pruned_fraction, 0.0);
-  EXPECT_LE(estimate.pruned_fraction, 1.0);
-
-  // The estimate should be in the ballpark of a real run: the actual
-  // candidate count must not exceed the predicted shuffle volume.
-  const SkylineQueryResult result =
-      ParallelSkylineExecutor(options).Execute(points);
-  EXPECT_LE(result.metrics.candidates, estimate.expected_shuffle_records);
-}
-
-TEST(EstimatePlanCostTest, EmptyInputsYieldZeroEstimate) {
-  const PointSet points(2);
-  const PreparedPlan plan = PreparePlan(
-      points, BaseOptions(PartitioningScheme::kZhg, LocalAlgorithm::kZSearch));
-  const PlanCostEstimate estimate = EstimatePlanCost(plan, 0);
-  EXPECT_EQ(estimate.expected_shuffle_records, 0u);
-  EXPECT_EQ(estimate.expected_candidates, 0u);
 }
 
 // --- BuildSzbFilter: the one construction of the mapper filter. k = 1

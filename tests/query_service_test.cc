@@ -16,8 +16,6 @@
 #include "common/dominance.h"
 #include "common/quantizer.h"
 #include "common/trace.h"
-#include "core/calibration_io.h"
-#include "core/metrics_registry.h"
 #include "core/query_service.h"
 #include "gen/synthetic.h"
 #include "io/columnar.h"
@@ -100,65 +98,6 @@ TEST(QueryServiceTest, DatasetSwapInvalidatesThePlan) {
   EXPECT_TRUE(service.Query().metrics.plan_reused);
 }
 
-// Adaptive planning: the cost model picks the configuration, predicted-
-// vs-actual error is recorded after every query, and a near-zero replan
-// threshold forces the feedback loop through at least one full replan —
-// all without ever changing the answer.
-TEST(QueryServiceTest, AdaptivePlanningReplansAndMatchesOracle) {
-  const PointSet points =
-      MakePoints(Distribution::kAnticorrelated, 3000, 4, 101);
-  QueryServiceOptions options = MakeServiceOptions();
-  options.adaptive_planning = true;
-  options.replan_threshold = 1e-6;  // Any prediction error triggers replan.
-  QueryService service(options, points);
-  const SkylineIndices oracle = BnlSkyline(points);
-
-  const auto err_before =
-      MetricsRegistry::Global().histogram("plan_job1_rel_err_pct").snapshot();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(service.Query().skyline, oracle) << "query " << i;
-  }
-  const QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.queries, 5u);
-  EXPECT_GE(stats.replans, 1u);
-  // Replans rebuild the plan: cold build + one per replan, except the last
-  // trigger may still be pending (it builds on the *next* query).
-  EXPECT_GE(stats.plan_builds, stats.replans);
-  EXPECT_LE(stats.plan_builds, 1u + stats.replans);
-  EXPECT_GE(stats.plan_builds, 2u);
-  const auto err_after =
-      MetricsRegistry::Global().histogram("plan_job1_rel_err_pct").snapshot();
-  EXPECT_GE(err_after.count, err_before.count + 5u);
-  // Feedback recalibrated the cost model away from its defaults.
-  const PlanCalibration cal = service.calibration();
-  EXPECT_NE(cal.job1_scale, 1.0);
-}
-
-TEST(QueryServiceTest, AdaptivePlanningHighThresholdNeverReplans) {
-  const PointSet points = MakePoints(Distribution::kIndependent, 2500, 5, 23);
-  QueryServiceOptions options = MakeServiceOptions();
-  options.adaptive_planning = true;
-  options.replan_threshold = 1e9;  // Tolerate any error: plan is stable.
-  QueryService service(options, points);
-  const SkylineIndices oracle = BnlSkyline(points);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(service.Query().skyline, oracle);
-  const QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.replans, 0u);
-  EXPECT_EQ(stats.plan_builds, 1u);
-}
-
-TEST(QueryServiceTest, AdaptivePlanningSurvivesDatasetSwap) {
-  const PointSet first = MakePoints(Distribution::kIndependent, 2000, 4, 5);
-  const PointSet second =
-      MakePoints(Distribution::kAnticorrelated, 2400, 4, 6);
-  QueryServiceOptions options = MakeServiceOptions();
-  options.adaptive_planning = true;
-  QueryService service(options, first);
-  EXPECT_EQ(service.Query().skyline, BnlSkyline(first));
-  service.SetDataset(second);
-  EXPECT_EQ(service.Query().skyline, BnlSkyline(second));
-}
-
 TEST(QueryServiceTest, EmptyDatasetYieldsEmptySkyline) {
   QueryService service(MakeServiceOptions(), PointSet(4));
   const SkylineQueryResult result = service.Query();
@@ -234,79 +173,139 @@ TEST(QueryServiceTest, AdmissionIsBounded) {
   EXPECT_LE(service.stats().peak_in_flight, 2u);
 }
 
-TEST(CalibrationPersistenceTest, TextRoundTripIsExact) {
-  PlanCalibration cal;
-  cal.map_us_per_record = 0.123456789012345;
-  cal.sb_us_per_pair = 1e-7;
-  cal.zs_us_per_record_log = 3.25;
-  cal.merge_us_per_candidate = 0.5;
-  cal.job1_scale = 128.375;
-  cal.job2_scale = 11.40625;
+// --- Plans come from the caller's options ----------------------------------
 
-  std::string error;
-  PlanCalibration parsed;
-  ASSERT_TRUE(ParseCalibration(SerializeCalibration(cal), &parsed, &error))
-      << error;
-  // max_digits10 serialization: bit-exact, not approximately equal.
-  EXPECT_EQ(parsed.map_us_per_record, cal.map_us_per_record);
-  EXPECT_EQ(parsed.sb_us_per_pair, cal.sb_us_per_pair);
-  EXPECT_EQ(parsed.zs_us_per_record_log, cal.zs_us_per_record_log);
-  EXPECT_EQ(parsed.merge_us_per_candidate, cal.merge_us_per_candidate);
-  EXPECT_EQ(parsed.job1_scale, cal.job1_scale);
-  EXPECT_EQ(parsed.job2_scale, cal.job2_scale);
+struct PlanOptionsCase {
+  PartitioningScheme partitioning;
+  LocalAlgorithm local;
+  MergeAlgorithm merge;
+  uint32_t num_groups;
+};
 
-  // Unknown keys are ignored so newer writers stay readable.
-  ASSERT_TRUE(ParseCalibration(
-      SerializeCalibration(cal) + "future_knob 3.5\n", &parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.job1_scale, cal.job1_scale);
-
-  // Garbage is rejected, not silently defaulted.
-  EXPECT_FALSE(ParseCalibration("not a calibration file\n", &parsed, &error));
-  EXPECT_FALSE(
-      ParseCalibration("zsky-calibration v1\njob1_scale\n", &parsed, &error));
+std::string PlanOptionsCaseName(
+    const ::testing::TestParamInfo<PlanOptionsCase>& info) {
+  std::string name =
+      std::string(PartitioningSchemeName(info.param.partitioning)) + "_" +
+      std::string(LocalAlgorithmName(info.param.local)) + "_" +
+      std::string(MergeAlgorithmName(info.param.merge)) + "_g" +
+      std::to_string(info.param.num_groups);
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
 }
 
-TEST(CalibrationPersistenceTest, SurvivesServiceRestart) {
-  const std::string path =
-      ::testing::TempDir() + "/query_service_calibration.txt";
-  std::remove(path.c_str());
+// The plan-shape and job-1 metrics of a query, which depend only on the
+// options its plan was built from, the rows and the desc.
+void ExpectSamePlanShape(const PhaseMetrics& served,
+                         const PhaseMetrics& direct,
+                         const std::string& label) {
+  EXPECT_EQ(served.sample_size, direct.sample_size) << label;
+  EXPECT_EQ(served.sample_skyline_size, direct.sample_skyline_size) << label;
+  EXPECT_EQ(served.num_partitions, direct.num_partitions) << label;
+  EXPECT_EQ(served.pruned_partitions, direct.pruned_partitions) << label;
+  EXPECT_EQ(served.num_groups, direct.num_groups) << label;
+  EXPECT_EQ(served.filtered_by_szb, direct.filtered_by_szb) << label;
+  EXPECT_EQ(served.candidates, direct.candidates) << label;
+}
+
+class QueryServicePlanOptionsTest
+    : public ::testing::TestWithParam<PlanOptionsCase> {};
+
+// The service builds its plan from the caller's ExecutorOptions and from
+// nothing else: its first query samples, partitions, groups, filters and
+// answers exactly as a one-shot executor run with the same options.
+TEST_P(QueryServicePlanOptionsTest, PlanFollowsCallerOptions) {
+  const PlanOptionsCase& c = GetParam();
   const PointSet points =
-      MakePoints(Distribution::kAnticorrelated, 3000, 4, 101);
-
+      MakePoints(Distribution::kAnticorrelated, 3000, 4, 404);
   QueryServiceOptions options = MakeServiceOptions();
-  options.calibration_file = path;
-  options.adaptive_planning = true;
-  options.replan_threshold = 1e-6;  // Any prediction error recalibrates.
+  options.executor.partitioning = c.partitioning;
+  options.executor.local = c.local;
+  options.executor.merge = c.merge;
+  options.executor.num_groups = c.num_groups;
+  QueryService service(options, points);
+  const std::string label = options.executor.Label();
 
-  // First lifetime: learn a calibration, save it on shutdown.
-  PlanCalibration learned;
-  {
-    QueryService service(options, points);
-    const SkylineIndices oracle = BnlSkyline(points);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(service.Query().skyline, oracle);
-    learned = service.calibration();
-    EXPECT_NE(learned.job1_scale, 1.0);
-  }
+  const SkylineQueryResult served = service.Query();
+  const SkylineQueryResult direct =
+      ParallelSkylineExecutor(options.executor).Execute(points);
+  EXPECT_EQ(served.skyline, BnlSkyline(points)) << label;
+  EXPECT_EQ(served.skyline, direct.skyline) << label;
+  ExpectSamePlanShape(served.metrics, direct.metrics, label);
+  EXPECT_EQ(service.options().executor.partitioning, c.partitioning);
+  EXPECT_EQ(service.options().executor.local, c.local);
+  EXPECT_EQ(service.options().executor.merge, c.merge);
+  EXPECT_EQ(service.options().executor.num_groups, c.num_groups);
 
-  // Second lifetime: the learned model is back before the first query.
-  {
-    QueryService service(options, points);
-    const PlanCalibration restored = service.calibration();
-    EXPECT_EQ(restored.job1_scale, learned.job1_scale);
-    EXPECT_EQ(restored.job2_scale, learned.job2_scale);
-    EXPECT_EQ(restored.map_us_per_record, learned.map_us_per_record);
-    EXPECT_EQ(service.Query().skyline, BnlSkyline(points));
-  }
+  // Warm queries keep running the same plan.
+  const SkylineQueryResult warm = service.Query();
+  EXPECT_TRUE(warm.metrics.plan_reused);
+  EXPECT_EQ(warm.skyline, direct.skyline) << label;
+  ExpectSamePlanShape(warm.metrics, direct.metrics, label);
+  EXPECT_EQ(service.stats().plan_builds, 1u);
+}
 
-  // A missing file is a clean first boot, not an error.
-  std::remove(path.c_str());
-  {
-    QueryService service(options, points);
-    EXPECT_EQ(service.calibration().job1_scale, PlanCalibration{}.job1_scale);
-    EXPECT_EQ(service.Query().skyline, BnlSkyline(points));
-  }
-  std::remove(path.c_str());
+INSTANTIATE_TEST_SUITE_P(
+    SchemesLocalsAndMerges, QueryServicePlanOptionsTest,
+    ::testing::Values(
+        PlanOptionsCase{PartitioningScheme::kRandom, LocalAlgorithm::kZSearch,
+                        MergeAlgorithm::kZMerge, 4},
+        PlanOptionsCase{PartitioningScheme::kGrid, LocalAlgorithm::kSortBased,
+                        MergeAlgorithm::kSortBased, 5},
+        PlanOptionsCase{PartitioningScheme::kAngle, LocalAlgorithm::kBbs,
+                        MergeAlgorithm::kPrefixProbe, 3},
+        PlanOptionsCase{PartitioningScheme::kQuadTree,
+                        LocalAlgorithm::kZSearch, MergeAlgorithm::kZSearch,
+                        7},
+        PlanOptionsCase{PartitioningScheme::kNaiveZ,
+                        LocalAlgorithm::kSortBased, MergeAlgorithm::kZMerge,
+                        6},
+        PlanOptionsCase{PartitioningScheme::kZhg, LocalAlgorithm::kZSearch,
+                        MergeAlgorithm::kPrefixProbe, 9},
+        PlanOptionsCase{PartitioningScheme::kZdg, LocalAlgorithm::kZSearch,
+                        MergeAlgorithm::kPrefixProbe, 8},
+        PlanOptionsCase{PartitioningScheme::kZdg, LocalAlgorithm::kZSearch,
+                        MergeAlgorithm::kZMerge, 16},
+        PlanOptionsCase{PartitioningScheme::kZdg, LocalAlgorithm::kBbs,
+                        MergeAlgorithm::kSortBased, 2},
+        PlanOptionsCase{PartitioningScheme::kZdg,
+                        LocalAlgorithm::kSortBased, MergeAlgorithm::kZSearch,
+                        12}),
+    PlanOptionsCaseName);
+
+// A merge folds the delta into a new base and builds that base's plan from
+// the caller's options too: a pipeline query after it (a whole-space box,
+// since the default desc is answered from the merged band) matches a
+// one-shot executor run over the merged rows.
+TEST(QueryServiceTest, MergeRebuildsThePlanFromCallerOptions) {
+  const PointSet base = MakePoints(Distribution::kIndependent, 2000, 4, 505);
+  const PointSet added = MakePoints(Distribution::kAnticorrelated, 600, 4, 506);
+  QueryServiceOptions options = MakeServiceOptions();
+  options.executor.partitioning = PartitioningScheme::kZhg;
+  options.executor.num_groups = 5;
+  options.delta_merge_threshold = 0;
+  QueryService service(options, base);
+  EXPECT_EQ(service.Query().skyline, BnlSkyline(base));
+
+  ASSERT_TRUE(service.Insert(added).ok);
+  ASSERT_TRUE(service.Merge());
+  PointSet merged = base;
+  for (size_t i = 0; i < added.size(); ++i) merged.Append(added[i]);
+
+  QueryRequest request;
+  request.desc.box_lo.assign(4, 0);
+  request.desc.box_hi.assign(4, (Coord{1} << kBits) - 1);
+  const SkylineQueryResult served = service.Query(request);
+  const SkylineQueryResult direct =
+      ParallelSkylineExecutor(options.executor).Execute(merged, request.desc);
+  EXPECT_TRUE(served.metrics.plan_reused);  // Built by the merge.
+  EXPECT_EQ(served.skyline, BnlSkyline(merged));
+  EXPECT_EQ(served.skyline, direct.skyline);
+  ExpectSamePlanShape(served.metrics, direct.metrics,
+                      options.executor.Label());
+  EXPECT_EQ(service.stats().merges, 1u);
+  EXPECT_EQ(service.stats().plan_builds, 2u);
 }
 
 // --- Write-path unit tests (docs/updates.md) ------------------------------

@@ -1,19 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "algo/oracle.h"
+#include "algo/skyline.h"
+#include "algo/sort_based.h"
 #include "algo/subspace.h"
 #include "common/quantizer.h"
+#include "common/rng.h"
 #include "core/executor.h"
-#include "core/planner.h"
 #include "core/query_plan.h"
 #include "core/query_service.h"
 #include "gen/synthetic.h"
-#include "index/constrained.h"
-#include "index/rtree.h"
 
 namespace zsky {
 namespace {
@@ -149,20 +150,163 @@ INSTANTIATE_TEST_SUITE_P(
     }()),
     VariantCaseName);
 
-// The in-place ConstrainedSkyline (R-tree window + Z-ordered scan) agrees
-// with the all-variant oracle restricted to a box, so it doubles as the
-// constrained oracle for the pipeline.
-TEST(ConstrainedOracleTest, MatchesOracleQuery) {
-  const PointSet points = MakePoints(Distribution::kIndependent, 1500, 3, 7);
-  const ZOrderCodec codec(3, kBits);
-  const RTree tree(points);
+// The plan the serving layer runs by default: ZDG partitions, Z-search
+// locals, the prefix-probe merge.
+ExecutorOptions DefaultPlanOptions() {
+  ExecutorOptions options =
+      BaseOptions(PartitioningScheme::kZdg, LocalAlgorithm::kZSearch);
+  options.merge = MergeAlgorithm::kPrefixProbe;
+  return options;
+}
+
+SkylineQueryResult RunDesc(const PointSet& points, QueryDesc desc) {
+  desc.Canonicalize();
+  return ParallelSkylineExecutor(DefaultPlanOptions()).Execute(points, desc);
+}
+
+// Brute force for a box query: gather the rows inside the box, take their
+// skyline over `dims` (all dims when empty), and map back to row ids.
+SkylineIndices BruteBoxSkyline(const PointSet& points,
+                               const std::vector<Coord>& lo,
+                               const std::vector<Coord>& hi,
+                               const std::vector<uint32_t>& dims) {
+  std::vector<uint32_t> inside;
+  for (size_t i = 0; i < points.size(); ++i) {
+    bool in = true;
+    for (uint32_t k = 0; k < points.dim() && in; ++k) {
+      in = points[i][k] >= lo[k] && points[i][k] <= hi[k];
+    }
+    if (in) inside.push_back(static_cast<uint32_t>(i));
+  }
+  const PointSet region = PointSet::Gather(points, inside);
+  SkylineIndices local;
+  if (dims.empty()) {
+    local = NaiveSkyline(region);
+  } else {
+    PointSet projected(static_cast<uint32_t>(dims.size()));
+    ProjectDimsInto(region, dims, {}, kMax, projected);
+    local = NaiveSkyline(projected);
+  }
+  SkylineIndices expected;
+  for (uint32_t i : local) expected.push_back(inside[i]);
+  SortSkyline(expected);
+  return expected;
+}
+
+// Random boxes through the pipeline agree with a gather-then-skyline
+// brute force that shares no code with OracleQuery.
+TEST(BoxQueryTest, MatchesBruteForce) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 2000, 3, 20);
+  Rng rng(21);
+  for (int trial = 0; trial < 10; ++trial) {
+    QueryDesc desc;
+    desc.box_lo.resize(3);
+    desc.box_hi.resize(3);
+    for (uint32_t k = 0; k < 3; ++k) {
+      const Coord a = static_cast<Coord>(rng.NextBounded(kMax + 1));
+      const Coord b = static_cast<Coord>(rng.NextBounded(kMax + 1));
+      desc.box_lo[k] = std::min(a, b);
+      desc.box_hi[k] = std::max(a, b);
+    }
+    EXPECT_EQ(RunDesc(points, desc).skyline,
+              BruteBoxSkyline(points, desc.box_lo, desc.box_hi, {}))
+        << "trial " << trial;
+  }
+}
+
+TEST(BoxQueryTest, WholeSpaceEqualsGlobalSkyline) {
+  const PointSet points =
+      MakePoints(Distribution::kAnticorrelated, 1500, 4, 22);
   QueryDesc desc;
-  desc.box_lo = {300, 0, 500};
-  desc.box_hi = {3600, 2900, kMax};
-  const std::vector<Coord> lo = desc.box_lo;
-  const std::vector<Coord> hi = desc.box_hi;
-  EXPECT_EQ(ConstrainedSkyline(codec, points, tree, lo, hi),
-            OracleQuery(points, desc, kMax));
+  desc.box_lo.assign(4, 0);
+  desc.box_hi.assign(4, kMax);
+  const SkylineQueryResult result = RunDesc(points, desc);
+  EXPECT_EQ(result.skyline, SortBasedSkyline(points));
+  EXPECT_EQ(result.metrics.dropped_by_box, 0u);
+  EXPECT_EQ(result.metrics.regions_pruned_by_box, 0u);
+}
+
+// A one-cell box on a point no row occupies answers nothing.
+TEST(BoxQueryTest, EmptyBox) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 500, 2, 23);
+  std::vector<uint8_t> occupied(size_t{kMax + 1} * (kMax + 1), 0);
+  for (size_t i = 0; i < points.size(); ++i) {
+    occupied[size_t{points[i][0]} * (kMax + 1) + points[i][1]] = 1;
+  }
+  const size_t cell = static_cast<size_t>(
+      std::find(occupied.begin(), occupied.end(), 0) - occupied.begin());
+  ASSERT_LT(cell, occupied.size());
+  QueryDesc desc;
+  desc.box_lo = {static_cast<Coord>(cell / (kMax + 1)),
+                 static_cast<Coord>(cell % (kMax + 1))};
+  desc.box_hi = desc.box_lo;
+  const SkylineQueryResult result = RunDesc(points, desc);
+  EXPECT_TRUE(result.skyline.empty());
+  EXPECT_EQ(result.metrics.candidates, 0u);
+}
+
+// Equal rows do not dominate each other: a one-cell box on a row repeated
+// three times answers all three copies and nothing else.
+TEST(BoxQueryTest, PointBoxKeepsEveryDuplicate) {
+  PointSet points = MakePoints(Distribution::kIndependent, 800, 3, 24);
+  const std::vector<Coord> row(points[100].begin(), points[100].end());
+  points.Append(row);
+  points.Append(row);
+  QueryDesc desc;
+  desc.box_lo = row;
+  desc.box_hi = row;
+  const SkylineIndices answer = RunDesc(points, desc).skyline;
+  EXPECT_EQ(answer, BruteBoxSkyline(points, row, row, {}));
+  ASSERT_GE(answer.size(), 3u);
+  EXPECT_EQ(answer[answer.size() - 2], 800u);
+  EXPECT_EQ(answer.back(), 801u);
+  for (uint32_t id : answer) {
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), points[id].begin()));
+  }
+}
+
+TEST(DimsQueryTest, MatchesBruteForceOnProjection) {
+  const PointSet points =
+      MakePoints(Distribution::kAnticorrelated, 800, 5, 31);
+  QueryDesc desc;
+  desc.dims = {3, 1};
+  PointSet projected(2);
+  const std::vector<uint32_t> sorted_dims = {1, 3};
+  ProjectDimsInto(points, sorted_dims, {}, kMax, projected);
+  EXPECT_EQ(RunDesc(points, desc).skyline, NaiveSkyline(projected));
+}
+
+TEST(DimsQueryTest, FullSpaceEqualsRegularSkyline) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 600, 4, 32);
+  QueryDesc desc;
+  desc.dims = {0, 1, 2, 3};
+  EXPECT_EQ(RunDesc(points, desc).skyline, SortBasedSkyline(points));
+}
+
+TEST(DimsQueryTest, SingleDimensionIsMinima) {
+  PointSet points(3);
+  points.Append({5, 0, 0});
+  points.Append({1, 9, 9});
+  points.Append({1, 8, 8});
+  QueryDesc desc;
+  desc.dims = {0};
+  // Both minimum-value rows survive: they are equal in the 1-d subspace,
+  // so neither dominates the other.
+  EXPECT_EQ(RunDesc(points, desc).skyline, (SkylineIndices{1, 2}));
+}
+
+// The box is in original coordinates, so it may restrict a dimension the
+// subspace skyline ignores.
+TEST(DimsQueryTest, BoxOnAnUnlistedDimension) {
+  const PointSet points = MakePoints(Distribution::kIndependent, 1500, 4, 34);
+  QueryDesc desc;
+  desc.dims = {1, 2};
+  desc.box_lo = {0, 0, 0, 0};
+  desc.box_hi = {kMax / 3, kMax, kMax, kMax};
+  const SkylineQueryResult result = RunDesc(points, desc);
+  EXPECT_EQ(result.skyline,
+            BruteBoxSkyline(points, desc.box_lo, desc.box_hi, desc.dims));
+  EXPECT_GT(result.metrics.dropped_by_box, 0u);
 }
 
 // A <=10% selectivity box must prune whole RZ-regions in the mapper — the
@@ -269,30 +413,6 @@ TEST(QueryServiceVariantTest, BoxOnlyChangeKeepsWarmPath) {
   EXPECT_EQ(banded.metrics.subspace_plan_rebuilds, 1u);
   EXPECT_EQ(banded.metrics.skyband_k, 4u);
   EXPECT_EQ(banded.skyline, OracleQuery(points, skyband.desc, kMax));
-}
-
-// Desc-aware pricing: a tight box shrinks the predicted shuffle and
-// candidate volumes relative to the full-space estimate.
-TEST(EstimatePlanCostDescTest, BoxSelectivityShrinksEstimate) {
-  const PointSet points = MakePoints(Distribution::kIndependent, 4000, 4, 77);
-  const ExecutorOptions options =
-      BaseOptions(PartitioningScheme::kZdg, LocalAlgorithm::kZSearch);
-  const PreparedPlan plan = PreparePlan(points, options);
-
-  const PlanCostEstimate base = EstimatePlanCost(plan, points.size());
-  QueryDesc desc;
-  desc.box_lo = {0, 0, 0, 0};
-  desc.box_hi = {400, kMax, kMax, kMax};
-  const PlanCostEstimate boxed =
-      EstimatePlanCost(plan, points.size(), desc);
-  EXPECT_LT(boxed.expected_shuffle_records, base.expected_shuffle_records);
-  EXPECT_LE(boxed.expected_candidates, boxed.expected_shuffle_records);
-
-  // A default desc is priced identically to the base overload.
-  const PlanCostEstimate same =
-      EstimatePlanCost(plan, points.size(), QueryDesc{});
-  EXPECT_EQ(same.expected_shuffle_records, base.expected_shuffle_records);
-  EXPECT_EQ(same.expected_candidates, base.expected_candidates);
 }
 
 // ProjectDimsInto is allocation-free for callers holding scratch and

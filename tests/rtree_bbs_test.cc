@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "index/bbs.h"
-#include "index/constrained.h"
 #include "index/rtree.h"
 #include "index/zsearch.h"
 
@@ -134,63 +133,6 @@ TEST(BbsTest, PruningFiresOnCorrelatedData) {
   EXPECT_GT(stats.nodes_pruned, 0u);
   // BBS's selling point: most points are never even popped.
   EXPECT_LT(stats.points_tested, ps.size() / 2);
-}
-
-TEST(ConstrainedSkylineTest, MatchesBruteForce) {
-  const PointSet ps = MakePoints(Distribution::kIndependent, 2000, 3, 20);
-  ZOrderCodec codec(3, kBits);
-  RTree tree(ps);
-  Rng rng(21);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<Coord> lo(3), hi(3);
-    for (uint32_t k = 0; k < 3; ++k) {
-      Coord a = static_cast<Coord>(rng.NextBounded(1024));
-      Coord b = static_cast<Coord>(rng.NextBounded(1024));
-      lo[k] = std::min(a, b);
-      hi[k] = std::max(a, b);
-    }
-    // Brute force: gather inside, naive skyline, map back.
-    std::vector<uint32_t> inside;
-    for (size_t i = 0; i < ps.size(); ++i) {
-      bool in = true;
-      for (uint32_t k = 0; k < 3 && in; ++k) {
-        in = ps[i][k] >= lo[k] && ps[i][k] <= hi[k];
-      }
-      if (in) inside.push_back(static_cast<uint32_t>(i));
-    }
-    SkylineIndices expected;
-    const PointSet region = PointSet::Gather(ps, inside);
-    for (uint32_t i : NaiveSkyline(region)) expected.push_back(inside[i]);
-    SortSkyline(expected);
-    EXPECT_EQ(ConstrainedSkyline(codec, ps, tree, lo, hi), expected)
-        << "trial " << trial;
-  }
-}
-
-TEST(ConstrainedSkylineTest, WholeSpaceEqualsGlobalSkyline) {
-  const PointSet ps = MakePoints(Distribution::kAnticorrelated, 1500, 4, 22);
-  ZOrderCodec codec(4, kBits);
-  RTree tree(ps);
-  const std::vector<Coord> lo(4, 0);
-  const std::vector<Coord> hi(4, (Coord{1} << kBits) - 1);
-  EXPECT_EQ(ConstrainedSkyline(codec, ps, tree, lo, hi),
-            SortBasedSkyline(ps));
-}
-
-TEST(ConstrainedSkylineTest, EmptyBox) {
-  const PointSet ps = MakePoints(Distribution::kIndependent, 500, 2, 23);
-  ZOrderCodec codec(2, kBits);
-  RTree tree(ps);
-  // A box outside the quantized domain's occupied range is very likely
-  // empty; use an impossible inverted range instead for determinism.
-  const std::vector<Coord> lo{1023, 1023};
-  const std::vector<Coord> hi{1023, 1023};
-  const auto result = ConstrainedSkyline(codec, ps, tree, lo, hi);
-  // Either empty or the exact corner points; verify via brute force.
-  for (uint32_t row : result) {
-    EXPECT_EQ(ps[row][0], 1023u);
-    EXPECT_EQ(ps[row][1], 1023u);
-  }
 }
 
 TEST(BbsTest, AgreesWithZSearchAcrossGeometries) {

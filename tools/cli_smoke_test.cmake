@@ -1,5 +1,6 @@
-# CLI smoke test driven by CTest: gen -> query (+plan/topk) -> skyband,
-# which must print the rows of query --k.
+# CLI smoke test driven by CTest: gen -> query (+topk) -> skyband, which
+# must print the rows of query --k; a flag the subcommand does not take
+# must fail the run.
 set(DATA "${WORK_DIR}/cli_smoke.csv")
 
 execute_process(
@@ -23,10 +24,10 @@ if(NOT err MATCHES "candidates")
 endif()
 
 execute_process(
-  COMMAND ${CLI} query --in ${DATA} --plan --topk 3 --json
+  COMMAND ${CLI} query --in ${DATA} --topk 3 --json
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "planned query failed: ${rc}\n${err}")
+  message(FATAL_ERROR "topk query failed: ${rc}\n${err}")
 endif()
 if(NOT out MATCHES "top-3")
   message(FATAL_ERROR "topk output missing:\n${out}")
@@ -60,6 +61,23 @@ if(NOT band_rows STREQUAL query_rows)
   message(FATAL_ERROR "skyband --k 2 and query --k 2 rows differ:\n"
                       "${out}\nvs\n${query_out}")
 endif()
+
+# Unknown flags are usage errors, never silently ignored: a misspelled
+# flag with a value, and an unknown flag followed by a known one (which
+# must not swallow it as a value), both exit non-zero before any work.
+foreach(bad_args
+        "query;--in;${DATA};--budjet;5"
+        "serve;--in;${DATA};--adaptive;--repeat;2")
+  execute_process(
+    COMMAND ${CLI} ${bad_args}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "unknown flag accepted (${bad_args}):\n${out}")
+  endif()
+  if(NOT err MATCHES "unknown flag")
+    message(FATAL_ERROR "unknown flag not reported (${bad_args}):\n${err}")
+  endif()
+endforeach()
 
 file(REMOVE ${DATA})
 message(STATUS "cli smoke test passed")

@@ -35,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,9 +60,8 @@ using namespace zsky;
                " [--topk K] [--rank count|sum]\n"
                "                 [--lo a,b,...] [--hi a,b,...]"
                " [--dims c0,c2,...] [--flip c1,...] [--k K]\n"
-               "                 [--budget BYTES] [--readahead 0|1] [--plan]"
-               " [--metrics]"
-               " [--json] [--trace-out FILE]\n"
+               "                 [--budget BYTES] [--readahead 0|1]"
+               " [--metrics] [--json] [--trace-out FILE]\n"
                "  zsky_cli skyband --in FILE --k K [--groups M]"
                " [--metrics]\n"
                "  zsky_cli insert --in FILE[.zsc]"
@@ -78,23 +78,25 @@ using namespace zsky;
                "                 [--lo a,b,...] [--hi a,b,...]"
                " [--dims c0,c2,...] [--flip c1,...] [--k K]\n"
                "                 [--budget BYTES] [--readahead 0|1]"
-               " [--adaptive]"
-               " [--replan-threshold T]\n"
-               "                 [--calibration-file FILE]"
                " [--stats-every N] [--trace-out FILE]\n"
                "  zsky_cli cpu\n");
   std::exit(2);
 }
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
+// Parses `--name value` pairs and the value-less boolean flags. Only the
+// subcommand's own flags (`accepted`) parse; any other flag is a usage
+// error, so a misspelled flag never runs silently with its default.
+std::map<std::string, std::string> ParseFlags(
+    int argc, char** argv, int first, const std::set<std::string>& accepted) {
+  static const std::set<std::string> kBoolean = {"metrics", "json",
+                                                 "merge-after"};
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) Usage(("unexpected argument " + arg).c_str());
     arg = arg.substr(2);
-    if (arg == "metrics" || arg == "json" || arg == "plan" ||
-        arg == "adaptive" || arg == "merge-after") {
+    if (accepted.count(arg) == 0) Usage(("unknown flag --" + arg).c_str());
+    if (kBoolean.count(arg) != 0) {
       flags[arg] = "1";
       continue;
     }
@@ -424,11 +426,6 @@ int RunQueryColumnar(const std::map<std::string, std::string>& flags,
   ExecutorOptions options = StrategyFromFlags(flags, dataset->bits());
   options.shuffle_memory_budget_bytes = budget;
   const QueryDesc desc = DescFromFlags(flags, dataset->view().dim());
-  if (flags.count("plan") != 0) {
-    const PlanChoice choice = ChoosePlan(dataset->view(), options, {}, &desc);
-    options = choice.options;
-    std::fprintf(stderr, "plan: %s\n", choice.rationale.c_str());
-  }
 
   const std::string trace_path = TraceBegin(flags);
   const SkylineQueryResult result =
@@ -466,21 +463,8 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
   const PointSet points =
       TableToPoints(*table, ParseMaximize(flags, *table), quantizer);
 
-  ExecutorOptions options = StrategyFromFlags(flags, quantizer.bits());
+  const ExecutorOptions options = StrategyFromFlags(flags, quantizer.bits());
   const QueryDesc desc = DescFromFlags(flags, points.dim());
-
-  if (flags.count("plan") != 0) {
-    // Cost-based plan selection: price every scheme/local/reducer-count
-    // candidate over a sample and run the cheapest (under the query's
-    // variant — a tight box shrinks the predicted volumes).
-    const PlanChoice choice = ChoosePlan(points, options, {}, &desc);
-    options = choice.options;
-    std::fprintf(stderr, "plan: %s\n", choice.rationale.c_str());
-    for (const PlanCandidateCost& cand : choice.candidates) {
-      std::fprintf(stderr, "  candidate %-16s predicted %.3f ms\n",
-                   cand.label.c_str(), cand.predicted_total_ms);
-    }
-  }
 
   const std::string trace_path = TraceBegin(flags);
   const SkylineQueryResult result =
@@ -776,14 +760,6 @@ int RunServe(const std::map<std::string, std::string>& flags) {
   service_options.executor.shuffle_memory_budget_bytes = budget;
   service_options.max_in_flight =
       static_cast<uint32_t>(std::max<size_t>(concurrency, 1));
-  // --adaptive: plan builds run the cost-based planner (ChoosePlan) and
-  // replan when predicted-vs-actual stage error exceeds the threshold.
-  service_options.adaptive_planning = flags.count("adaptive") != 0;
-  service_options.replan_threshold = std::strtod(
-      Flag(flags, "replan-threshold", "0.5").c_str(), nullptr);
-  // --calibration-file: persist the learned cost-model constants across
-  // restarts (loaded now, written on shutdown).
-  service_options.calibration_file = Flag(flags, "calibration-file", "");
   QueryService service(service_options);
   if (columnar) {
     if (!service.SetDatasetFile(in, &error)) {
@@ -880,10 +856,10 @@ int RunServe(const std::map<std::string, std::string>& flags) {
         const QueryService::Stats snap = service.stats();
         MetricsRegistry& registry = MetricsRegistry::Global();
         std::fprintf(stderr,
-                     "stats[%zu]: queries=%zu plan_builds=%zu replans=%zu"
+                     "stats[%zu]: queries=%zu plan_builds=%zu"
                      " peak_in_flight=%zu query_ms_total=%.3f"
                      " avg_ms=%.3f morsels=%llu stolen=%llu\n",
-                     done, snap.queries, snap.plan_builds, snap.replans,
+                     done, snap.queries, snap.plan_builds,
                      snap.peak_in_flight, snap.query_ms_total,
                      snap.queries > 0
                          ? snap.query_ms_total /
@@ -917,11 +893,10 @@ int RunServe(const std::map<std::string, std::string>& flags) {
                "serve: %zu queries (%zu warm, concurrency %zu)\n"
                "  cold_ms=%.3f (plan build %.3f)  warm_avg_ms=%.3f"
                "  qps=%.1f\n"
-               "  plan_builds=%zu replans=%zu peak_in_flight=%zu"
-               " mismatches=%zu\n",
+               "  plan_builds=%zu peak_in_flight=%zu mismatches=%zu\n",
                repeat, warm_count, concurrency, cold.metrics.total_ms,
                cold.metrics.preprocess_ms, warm_avg, qps, stats.plan_builds,
-               stats.replans, stats.peak_in_flight, mismatches.load());
+               stats.peak_in_flight, mismatches.load());
   if (mutate_mix > 0.0) {
     const DeltaStats ds = service.delta_stats();
     std::fprintf(stderr,
@@ -948,7 +923,7 @@ int RunServe(const std::map<std::string, std::string>& flags) {
 // Prints the host's SIMD features and the dispatch tier queries will run
 // with (honors ZSKY_FORCE_ISA). `scripts/check.sh simd` parses this to
 // skip tiers the host cannot run.
-int RunCpu() {
+int RunCpu(const std::map<std::string, std::string>& /*flags*/) {
   const CpuFeatures& features = HostCpuFeatures();
   std::printf("sse42=%d avx2=%d bmi2=%d active=%s bmi2_codec=%d\n",
               features.sse42 ? 1 : 0, features.avx2 ? 1 : 0,
@@ -957,19 +932,50 @@ int RunCpu() {
   return 0;
 }
 
+// The flags each subcommand reads: `base` plus the strategy flags
+// (StrategyFromFlags) and the query-variant flags (DescFromFlags) where
+// the subcommand takes them.
+std::set<std::string> SubcommandFlags(std::set<std::string> base,
+                                      bool strategy, bool variant) {
+  if (strategy) base.insert({"scheme", "local", "merge", "groups",
+                             "readahead"});
+  if (variant) base.insert({"lo", "hi", "dims", "flip", "k"});
+  return base;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) Usage();
   const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv, 2);
-  if (command == "gen") return RunGen(flags);
-  if (command == "convert") return RunConvert(flags);
-  if (command == "query") return RunQuery(flags);
-  if (command == "skyband") return RunSkyband(flags);
-  if (command == "insert") return RunInsert(flags);
-  if (command == "delete") return RunDelete(flags);
-  if (command == "serve") return RunServe(flags);
-  if (command == "cpu") return RunCpu();
-  Usage(("unknown command " + command).c_str());
+  using Runner = int (*)(const std::map<std::string, std::string>&);
+  struct Subcommand {
+    Runner run;
+    std::set<std::string> flags;
+  };
+  const std::map<std::string, Subcommand> subcommands = {
+      {"gen", {RunGen, {"dist", "n", "dim", "seed", "out"}}},
+      {"convert", {RunConvert, {"in", "out", "max"}}},
+      {"query",
+       {RunQuery, SubcommandFlags({"in", "max", "topk", "rank", "budget",
+                                   "metrics", "json", "trace-out"},
+                                  true, true)}},
+      {"skyband", {RunSkyband, {"in", "k", "groups", "metrics"}}},
+      {"insert",
+       {RunInsert,
+        SubcommandFlags({"in", "points", "add", "max", "merge-after"}, true,
+                        false)}},
+      {"delete",
+       {RunDelete,
+        SubcommandFlags({"in", "ids", "max", "merge-after"}, true, false)}},
+      {"serve",
+       {RunServe,
+        SubcommandFlags({"in", "budget", "repeat", "concurrency",
+                         "mutate-mix", "stats-every", "json", "trace-out"},
+                        true, true)}},
+      {"cpu", {RunCpu, {}}},
+  };
+  const auto it = subcommands.find(command);
+  if (it == subcommands.end()) Usage(("unknown command " + command).c_str());
+  return it->second.run(ParseFlags(argc, argv, 2, it->second.flags));
 }
